@@ -20,21 +20,17 @@ fi
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
+echo "==> cargo test -q (whole workspace via default-members)"
+# Root package plus every crate under crates/: unit tests, the differential
+# and property suites (prop_*), the allocation-budget gates (single-test
+# harness-free binaries, so the global counting allocator sees no
+# cross-thread noise) and doc tests.
 cargo test -q
 
 echo "==> cargo bench --no-run"
 # Compile (but do not execute) the criterion benches and the hotpath
 # harness so bench-only code can never rot out of sync with the library.
 cargo bench --workspace --no-run
-
-echo "==> allocation-regression gate"
-# Fast steady-state allocation budgets (single-test files so the global
-# counting allocator sees no cross-thread noise). These fail loudly if a
-# per-event allocation sneaks back into the simulator or scheduler hot path.
-# For the full throughput/peak-queue record, run ./bench_hotpath.sh.
-cargo test -p simcore --release --test alloc_budget -- --quiet
-cargo test -p altocumulus --release --test alloc_budget -- --quiet
 
 echo "==> golden figure gate (quick configs)"
 # The --quick figure sweeps are small enough for CI and their stdout is
@@ -93,26 +89,6 @@ done
 cargo run -q -p bench --release --bin replay -- ci/golden/fig10_quick.trace.jsonl
 cargo run -q -p bench --release --bin replay -- ci/golden/fault_sweep_quick.trace.jsonl
 cargo run -q -p bench --release --bin replay -- ci/golden/rack_sweep_quick.trace.jsonl
-# The contract's own test suites (root `cargo test -q` covers only the
-# root package): the simcore writer/parser/differ unit tests, then the
-# property suite — engine-invariant round-trips, corruption caught at the
-# exact index, the AC_TRACE_PERTURB seeded-mutation demo.
-cargo test -q -p simcore --release --lib trace::
-cargo test -q -p altocumulus --release --test prop_replay
-
-echo "==> worker-plane elision gates"
-# The root `cargo test -q` above only covers the root package, so the
-# differential proptests (Elided vs EventDriven oracle, fault-downgrade
-# identity) are gated explicitly; the d-FCFS scheduler carries its own
-# elision and differential tests in-crate.
-cargo test -q -p altocumulus --release --test prop_workerplane
-cargo test -q -p schedulers --release dfcfs
-# Engine smoke at the stdout level: the per-event oracle must reproduce the
-# golden fig10 byte stream the elided default just matched above.
-WORKER_PLANE=event_driven cargo run -q -p bench --release --bin fig10_comparison -- --quick \
-  > target/fig10_wp_event_driven.txt
-cmp target/fig10_quick.txt target/fig10_wp_event_driven.txt
-rm -f target/fig10_wp_event_driven.txt
 
 echo "==> fault-injection smoke (determinism)"
 # A faulted sweep must be byte-identical across invocations *and* across

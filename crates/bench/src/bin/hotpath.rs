@@ -7,7 +7,7 @@
 //! minimum is the closest observable to the true cost of the code.
 
 use altocumulus::telemetry::phase_table;
-use altocumulus::{AcConfig, Altocumulus, ControlPlane, RackWorld, WorkerPlane};
+use altocumulus::{AcConfig, Altocumulus, ControlPlane, RackWorld};
 use bench::record::{rack_shape, rack_sweep_cell};
 use bench::{capture_telemetry, export_trace, trace_out_arg};
 use schedulers::common::RpcSystem;
@@ -26,10 +26,20 @@ struct Measured {
 
 fn trace(cores: usize, requests: usize, load: f64) -> workload::Trace {
     let dist = ServiceDistribution::Fixed(SimDuration::from_ns(850));
+    trace_of(dist, cores, requests, load, 16)
+}
+
+fn trace_of(
+    dist: ServiceDistribution,
+    cores: usize,
+    requests: usize,
+    load: f64,
+    connections: u32,
+) -> workload::Trace {
     let rate = PoissonProcess::rate_for_load(load, cores, dist.mean());
     TraceBuilder::new(PoissonProcess::new(rate), dist)
         .requests(requests)
-        .connections(16)
+        .connections(connections)
         .seed(1)
         .build()
 }
@@ -55,13 +65,9 @@ fn measure(cfg: &AcConfig, t: &workload::Trace) -> Measured {
 
 /// Measure the quiet-window parallel engine at an explicit thread count,
 /// asserting that its invariant outputs (event count, peak serial-queue
-/// occupancy) are byte-identical to the per-event-worker-plane serial
-/// oracle — the bench doubles as a determinism gate on every refresh. The
-/// parallel engine always runs `WorkerPlane::EventDriven` internally (the
-/// quiet-window protocol owns the queue), so its event count matches the
-/// oracle, not the elided serial row; the virtual-ledger peak is identical
-/// across all three engines.
-fn measure_par(cfg: &AcConfig, t: &workload::Trace, threads: usize, oracle: &Measured) -> Measured {
+/// occupancy) are byte-identical to the serial engine's — the bench doubles
+/// as a determinism gate on every refresh.
+fn measure_par(cfg: &AcConfig, t: &workload::Trace, threads: usize, serial: &Measured) -> Measured {
     let mut best = Measured {
         wall_ms: f64::MAX,
         events: 0,
@@ -77,9 +83,9 @@ fn measure_par(cfg: &AcConfig, t: &workload::Trace, threads: usize, oracle: &Mea
         best.events = r.summary.events;
         best.peak_queue = r.summary.peak_queue;
     }
-    assert_eq!(best.events, oracle.events, "parallel engine diverged");
+    assert_eq!(best.events, serial.events, "parallel engine diverged");
     assert_eq!(
-        best.peak_queue, oracle.peak_queue,
+        best.peak_queue, serial.peak_queue,
         "parallel engine diverged"
     );
     best
@@ -118,49 +124,40 @@ fn main() {
     let t64 = trace(64, 20_000, 0.8);
     let small = measure(&AcConfig::ac_int(4, 16, mean), &t64);
 
-    // Case 2: the paper-scale 256-core mesh (16 groups x 16). Measured in
-    // three engine configurations so both elision wins stay recorded
-    // head-to-head: fully elided (default: analytic worker timelines +
-    // manager mailboxes), worker plane event-driven (isolates the
-    // worker-elision win), and fully event-driven (the pre-elision
-    // baseline: one event per UPDATE, tick, delivery and completion).
+    // Case 2: the paper-scale 256-core mesh (16 groups x 16). Measured with
+    // the elided control plane (the default: manager mailboxes and idle-tick
+    // fast-forward) and fully event-driven (the pre-elision baseline: one
+    // event per UPDATE, tick, delivery and completion), so the
+    // manager-plane elision win stays recorded head-to-head.
     let t256 = trace(256, 40_000, 0.6);
     let big_cfg = AcConfig::ac_int(16, 16, mean);
-    let big_elided = measure(&big_cfg, &t256);
-    let mut wp_oracle_cfg = big_cfg.clone();
-    wp_oracle_cfg.worker_plane = WorkerPlane::EventDriven;
-    let big_wp_oracle = measure(&wp_oracle_cfg, &t256);
-    let mut legacy_cfg = wp_oracle_cfg.clone();
+    let big = measure(&big_cfg, &t256);
+    let mut legacy_cfg = big_cfg.clone();
     legacy_cfg.control_plane = ControlPlane::EventDriven;
     let big_legacy = measure(&legacy_cfg, &t256);
-    // The virtual-ledger peak is an engine invariant: elided and per-event
-    // worker planes must report the identical value.
-    assert_eq!(
-        big_elided.peak_queue, big_wp_oracle.peak_queue,
-        "worker-plane elision perturbed the virtual peak ledger"
-    );
+
+    // The same mesh on the benchmark's traffic shape: Exponential service
+    // over many connections. Fixed service is the one shape where every
+    // worker's completions arrive in FIFO order; this row keeps the
+    // out-of-order completion stream measured too.
+    let exp = ServiceDistribution::Exponential { mean };
+    let t256_exp = trace_of(exp, 256, 40_000, 0.6, 4096);
+    let big_exp = measure(&big_cfg, &t256_exp);
 
     // Parallel-engine rows: the same 16x16 case through the quiet-window
     // engine at 2/4/8 worker threads, plus a 1024-core (32x32 mesh, 64
     // groups x 16) case. Each parallel row asserts byte-identical
-    // invariants against the per-event-worker-plane serial oracle.
+    // invariants against the serial engine.
     let par16: Vec<(usize, Measured)> = [2usize, 4, 8]
         .iter()
-        .map(|&n| (n, measure_par(&big_cfg, &t256, n, &big_wp_oracle)))
+        .map(|&n| (n, measure_par(&big_cfg, &t256, n, &big)))
         .collect();
     let t1024 = trace(1024, 60_000, 0.6);
     let huge_cfg = AcConfig::ac_int(64, 16, mean);
     let huge = measure(&huge_cfg, &t1024);
-    let mut huge_oracle_cfg = huge_cfg.clone();
-    huge_oracle_cfg.worker_plane = WorkerPlane::EventDriven;
-    let huge_wp_oracle = measure(&huge_oracle_cfg, &t1024);
-    assert_eq!(
-        huge.peak_queue, huge_wp_oracle.peak_queue,
-        "worker-plane elision perturbed the virtual peak ledger"
-    );
     let par32: Vec<(usize, Measured)> = [2usize, 4, 8]
         .iter()
-        .map(|&n| (n, measure_par(&huge_cfg, &t1024, n, &huge_wp_oracle)))
+        .map(|&n| (n, measure_par(&huge_cfg, &t1024, n, &huge)))
         .collect();
 
     // Rack tier: the CI quick shape (4 AC servers x 16 cores) behind the
@@ -196,9 +193,7 @@ fn main() {
         nb_best_ms = nb_best_ms.min(ms);
     }
 
-    let mgr_cut = 100.0 * (1.0 - big_wp_oracle.events as f64 / big_legacy.events as f64);
-    let wp_cut = 100.0 * (1.0 - big_elided.events as f64 / big_wp_oracle.events as f64);
-    let total_cut = 100.0 * (1.0 - big_elided.events as f64 / big_legacy.events as f64);
+    let mgr_cut = 100.0 * (1.0 - big.events as f64 / big_legacy.events as f64);
 
     // Hand-rolled JSON (no serde in the workspace). The "prior" block holds
     // the pre-change numbers measured on the same machine for this trace:
@@ -209,13 +204,15 @@ fn main() {
         "  \"config_64\": \"20k requests, 64 cores, load 0.8, fixed 850ns, 16 conns, seed 1\","
     );
     println!("  \"config_256\": \"40k requests, 256 cores (16x16), load 0.6, fixed 850ns, 16 conns, seed 1\",");
+    println!("  \"config_256_exp\": \"40k requests, 256 cores (16x16), load 0.6, exponential 850ns, 4096 conns, seed 1\",");
     println!("  \"config_1024\": \"60k requests, 1024 cores (32x32 mesh, 64 groups x 16), load 0.6, fixed 850ns, 16 conns, seed 1\",");
     println!("  \"config_rack\": \"12k requests, 4 AC servers x 16 cores, load 0.8, bimodal(paper), two-level ToR routing\",");
     println!("  \"iters_best_of\": {ITERS},");
     println!("  \"hw_threads\": {},", hw_threads());
     println!("  \"par_note\": \"PAR_THREADS rows use the quiet-window parallel engine; invariants asserted byte-identical to serial. With hw_threads=1 these rows measure engine overhead, not speedup.\",");
     emit("altocumulus_int_4x16", &small, true);
-    emit("altocumulus_int_16x16_elided", &big_elided, true);
+    emit("altocumulus_int_16x16_elided", &big, true);
+    emit("altocumulus_int_16x16_exp", &big_exp, true);
     for (n, m) in &par16 {
         emit(&format!("altocumulus_int_16x16_elided_par{n}"), m, true);
     }
@@ -223,21 +220,9 @@ fn main() {
     for (n, m) in &par32 {
         emit(&format!("altocumulus_int_32x32_elided_par{n}"), m, true);
     }
-    emit(
-        "altocumulus_int_16x16_wp_event_driven",
-        &big_wp_oracle,
-        true,
-    );
-    emit(
-        "altocumulus_int_32x32_wp_event_driven",
-        &huge_wp_oracle,
-        true,
-    );
     emit("altocumulus_int_16x16_event_driven", &big_legacy, true);
     emit("rack_4x16_ac", &rack, true);
     println!("  \"manager_plane_event_cut_pct\": {mgr_cut:.1},");
-    println!("  \"worker_plane_event_cut_pct\": {wp_cut:.1},");
-    println!("  \"total_event_cut_pct\": {total_cut:.1},");
     println!("  \"nebula_jbsq\": {{ \"wall_ms\": {nb_best_ms:.2} }},");
     println!("  \"prior\": {{");
     println!(

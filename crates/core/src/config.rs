@@ -7,7 +7,6 @@ use rpcstack::nic::Steering;
 use rpcstack::stack::StackModel;
 use simcore::faults::FaultPlan;
 use simcore::time::SimDuration;
-pub use simcore::timeline::WorkerPlane;
 
 /// How the NIC attaches to the CPU (paper §VII-A).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -155,13 +154,6 @@ pub struct AcConfig {
     pub steering: Steering,
     /// Simulator execution strategy for the manager control plane.
     pub control_plane: ControlPlane,
-    /// Simulator execution strategy for the worker plane (request
-    /// lifecycle events). Like [`ControlPlane`], both modes are
-    /// byte-identical in every observable; `Elided` batches
-    /// delivery/completion events on analytic timelines. Runs with a
-    /// non-empty fault plan and the parallel engine downgrade to
-    /// `EventDriven` internally regardless of this setting.
-    pub worker_plane: WorkerPlane,
     /// Injected faults. The default (empty) plan reproduces healthy runs
     /// byte-for-byte; see [`simcore::faults`].
     pub faults: FaultPlan,
@@ -196,7 +188,6 @@ impl AcConfig {
             tenancy: None,
             steering: Steering::rss(),
             control_plane: ControlPlane::Elided,
-            worker_plane: WorkerPlane::Elided,
             faults: FaultPlan::default(),
             resilience: Resilience::default(),
             seed: 0,
@@ -224,7 +215,7 @@ impl AcConfig {
     /// replay against a drifted configuration fails at provenance — before
     /// any event comparison could mislead.
     pub fn fingerprint(&self) -> u64 {
-        simcore::trace::fnv1a64(format!("{self:?}").as_bytes())
+        fingerprint_of(&format!("{self:?}"))
     }
 
     /// Total cores (managers + workers).
@@ -299,6 +290,34 @@ impl AcConfig {
     }
 }
 
+/// FNV-1a 64 of a configuration's `Debug` rendering, with
+/// `worker_plane: Elided, ` restored ahead of the `faults` field of every
+/// `AcConfig` and `DFcfsConfig` in it. Both structs carried that field (with
+/// that value by default) until the per-event worker plane became the only
+/// one; hashing it still keeps fingerprints, and therefore recorded
+/// `TRACE/1.0` artifacts, valid across the removal.
+pub(crate) fn fingerprint_of(debug: &str) -> u64 {
+    const REMOVED: &str = "worker_plane: Elided, ";
+    let mut text = String::new();
+    let mut rest = debug;
+    while let Some(open) = ["AcConfig {", "DFcfsConfig {"]
+        .iter()
+        .filter_map(|s| rest.find(s))
+        .min()
+    {
+        // Neither struct renders a `faults: ` inside an earlier field, so
+        // the first one after the opening brace is the struct's own.
+        let Some(at) = rest[open..].find("faults: ").map(|i| open + i) else {
+            break;
+        };
+        text.push_str(&rest[..at]);
+        text.push_str(REMOVED);
+        rest = &rest[at..];
+    }
+    text.push_str(rest);
+    simcore::trace::fnv1a64(text.as_bytes())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -322,6 +341,21 @@ mod tests {
         let c = AcConfig::ac_rss(4, 16, SimDuration::from_ns(850));
         assert_eq!(c.attachment, Attachment::RssPcie);
         assert_eq!(c.attachment.label(), "AC_rss");
+    }
+
+    #[test]
+    fn fingerprints_match_earlier_recordings() {
+        // Values recorded before the config lost a field (see
+        // `fingerprint_of`): recorded artifacts carry them as provenance.
+        let mean = SimDuration::from_ns(850);
+        assert_eq!(
+            AcConfig::ac_int(4, 16, mean).fingerprint(),
+            0x3e26948577c1ad73
+        );
+        assert_eq!(
+            AcConfig::ac_rss(16, 16, mean).fingerprint(),
+            0xa7d6e86e7b94bf7c
+        );
     }
 
     #[test]

@@ -290,7 +290,7 @@ impl RackConfig {
     /// Content fingerprint over the whole rack shape (servers, template,
     /// ToR, policy, fault plans, deaths, seed).
     pub fn fingerprint(&self) -> u64 {
-        simcore::trace::fnv1a64(format!("{self:?}").as_bytes())
+        crate::config::fingerprint_of(&format!("{self:?}"))
     }
 
     /// Canonical topology string recorded into the TRACE/1.0 run header of
@@ -880,6 +880,18 @@ mod tests {
         let mut other = cfg.clone();
         other.seed = 99;
         assert_ne!(cfg.topology(0), other.topology(0));
+    }
+
+    #[test]
+    fn fingerprints_match_earlier_recordings() {
+        // Values recorded before `AcConfig` and `DFcfsConfig` lost a field
+        // (see `config::fingerprint_of`): topology strings in recorded
+        // artifacts must keep matching.
+        let ac = RackConfig::ac(4, 4, 16, SimDuration::from_ns(850));
+        assert_eq!(ac.fingerprint(), 0x2a23f173a801e4c6);
+        let mut dfcfs = ac;
+        dfcfs.template = ServerSpec::DFcfs(DFcfsConfig::rss(64));
+        assert_eq!(dfcfs.fingerprint(), 0xdd27ef94af3a16d0);
     }
 
     #[test]

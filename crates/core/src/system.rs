@@ -8,7 +8,7 @@
 //! with every baseline on identical traces.
 
 use crate::accounting::PredictedSet;
-use crate::config::{AcConfig, Attachment, ControlPlane, WorkerPlane};
+use crate::config::{AcConfig, Attachment, ControlPlane};
 use crate::hw::messages::{Descriptor, Message};
 use crate::runtime::patterns::{
     guard_allows, plan_migrations_into, plan_patched_into, plan_threshold_only_into,
@@ -27,7 +27,6 @@ use simcore::rng::{stream_rng, streams, BatchedRng, CountingRng};
 use simcore::slab::{Handle, Slab};
 use simcore::telemetry::{NullSink, Telemetry, TelemetrySink};
 use simcore::time::{SimDuration, SimTime};
-use simcore::timeline::worker_plane;
 use simcore::trace::{fnv1a64_fold, Recorder};
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -35,7 +34,6 @@ use workload::request::Completion;
 use workload::trace::Trace;
 
 mod par;
-mod wp;
 
 /// Counters describing the migration machinery's behaviour during a run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -119,9 +117,8 @@ pub struct AcResult {
     /// Fault-injection and recovery counters.
     pub faults: FaultStats,
     /// Label of the engine that actually drove the run (after eligibility
-    /// resolution): `"serial_elided"`, `"serial_event_driven"`, or
-    /// `"parallel"`. Provenance only — all three produce byte-identical
-    /// observables.
+    /// resolution): `"serial_event_driven"` or `"parallel"`. Provenance
+    /// only — both produce byte-identical observables.
     pub engine: &'static str,
     /// Per-stream RNG draw accounting.
     pub rng: RngDraws,
@@ -264,22 +261,15 @@ impl Altocumulus {
     }
 
     /// Resolves the requested [`RunMode`] into the one [`Engine`] that
-    /// drives the run. Every eligibility rule lives here — the three
-    /// dispatch sites of `run_with` (group-store layout, worker-plane
-    /// resolution, event-loop selection) used to re-derive overlapping
-    /// slices of this logic independently:
+    /// drives the run. Every eligibility rule lives here, so the group-store
+    /// layout and the event-loop selection in `run_with` cannot disagree:
     ///
     /// - A non-empty fault plan forces the serial engine: fault events are
     ///   rare, cross-group, and RNG-bearing — exactly what the quiet-window
     ///   protocol serializes anyway, so the parallel path refuses them
-    ///   (trivially byte-identical). The same plan also downgrades the
-    ///   worker plane to the per-event oracle: epoch bumps, straggler
-    ///   inflation, and resteers landing mid-batch all perturb the analytic
-    ///   timelines.
+    ///   (trivially byte-identical).
     /// - A degenerate partitioning (under two parts, or one not covering
     ///   the mesh) falls back to serial.
-    /// - The parallel engine always runs the worker plane event-driven; its
-    ///   quiet-window protocol owns the queue.
     fn choose_engine(&self, mode: RunMode) -> Engine {
         match mode {
             RunMode::Parallel(p)
@@ -287,11 +277,7 @@ impl Altocumulus {
             {
                 Engine::Parallel(p)
             }
-            _ if !self.cfg.faults.is_empty() => Engine::SerialEventDriven,
-            _ => match worker_plane(self.cfg.worker_plane) {
-                WorkerPlane::Elided => Engine::SerialElided,
-                WorkerPlane::EventDriven => Engine::SerialEventDriven,
-            },
+            _ => Engine::Serial,
         }
     }
 
@@ -504,10 +490,7 @@ impl Altocumulus {
             cfg,
             noc,
             dispatch_op: mem.remote_cache, // 70 cycles per manager dispatch op
-            intra_transfer: match cfg.attachment {
-                Attachment::Integrated => Transfer::coherent(),
-                Attachment::RssPcie => Transfer::coherent(),
-            },
+            intra_transfer: Transfer::coherent(),
             groups,
             cold,
             msg_slab: Slab::new(),
@@ -558,10 +541,7 @@ impl Altocumulus {
             }
         }
         let summary = match &engine {
-            Engine::SerialElided => wp::run_elided(&mut world, &mut queue, &mut source),
-            Engine::SerialEventDriven => {
-                run_streamed(&mut world, &mut queue, &mut source, SimTime::MAX)
-            }
+            Engine::Serial => run_streamed(&mut world, &mut queue, &mut source, SimTime::MAX),
             Engine::Parallel(p) => par::run_windows(&mut world, &mut queue, &mut source, p),
         };
         world.finalize_idle_accounting(summary.end_time);
@@ -601,8 +581,7 @@ impl RpcSystem for Altocumulus {
 }
 
 /// Which engine a caller *requested* for one run. Resolved — eligibility
-/// rules and worker-plane downgrades applied — into an [`Engine`] by
-/// [`Altocumulus::choose_engine`].
+/// rules applied — into an [`Engine`] by [`Altocumulus::choose_engine`].
 enum RunMode {
     /// The classic single-threaded loop.
     Serial,
@@ -614,14 +593,12 @@ enum RunMode {
 }
 
 /// The fully resolved engine of one run — the single value the group-store
-/// layout and the event-loop dispatch both match on. All three variants
-/// produce byte-identical observables.
+/// layout and the event-loop dispatch both match on. Both variants produce
+/// byte-identical observables.
 enum Engine {
-    /// Serial loop, worker plane elided onto analytic per-class timelines.
-    SerialElided,
-    /// Serial loop, every event through the calendar queue (the oracle).
-    SerialEventDriven,
-    /// Quiet-window parallel engine (worker plane always event-driven).
+    /// Serial loop, every event through the calendar queue.
+    Serial,
+    /// Quiet-window parallel engine.
     Parallel(Partitioning),
 }
 
@@ -629,8 +606,7 @@ impl Engine {
     /// Stable label for run artifacts ([`AcResult::engine`]).
     fn label(&self) -> &'static str {
         match self {
-            Engine::SerialElided => "serial_elided",
-            Engine::SerialEventDriven => "serial_event_driven",
+            Engine::Serial => "serial_event_driven",
             Engine::Parallel(_) => "parallel",
         }
     }
@@ -2573,7 +2549,7 @@ impl<S: TelemetrySink> AcWorld<'_, S> {
     }
 
     /// Applies a protocol message's effects and dispatches any NetRX work
-    /// it unblocked.
+    /// it unblocked (MIGRATE landings, NACK returns).
     fn handle_msg(
         &mut self,
         dst: usize,
@@ -2582,31 +2558,12 @@ impl<S: TelemetrySink> AcWorld<'_, S> {
         now: SimTime,
         q: &mut EventQueue<Ev>,
     ) {
-        if let Some(g) = self.handle_msg_inner(dst, seq, msg, now, q) {
-            self.try_dispatch(g, now, q);
-        }
-    }
-
-    /// [`handle_msg`](Self::handle_msg) minus the trailing dispatch: returns
-    /// the group whose NetRX gained work (MIGRATE landings, NACK returns) so
-    /// the caller can route the dispatch through its own [`QuietSink`] — the
-    /// serial oracle pushes `Deliver`s onto the event queue, the elided
-    /// worker plane onto its analytic timeline. The seq reservation order is
-    /// unchanged: the dispatch always ran last in the original body.
-    fn handle_msg_inner(
-        &mut self,
-        dst: usize,
-        seq: u64,
-        msg: Message,
-        now: SimTime,
-        q: &mut EventQueue<Ev>,
-    ) -> Option<usize> {
         // A dead manager tile receives nothing: the message is lost at the
         // wire. Senders recover via the staged-migration timeout (MIGRATE)
         // or never notice (UPDATE/ACK — an ACK to a dead source is moot,
         // the source's queues were already drained by takeover).
         if self.mgr_is_dead(dst) {
-            return None;
+            return;
         }
         match msg {
             Message::Update { src, queue_len } => {
@@ -2614,7 +2571,6 @@ impl<S: TelemetrySink> AcWorld<'_, S> {
                 // events, and dormancy exists only in Elided mode.
                 debug_assert!(!self.cold[dst].dormant, "update at a dormant group");
                 self.cold[dst].q_view[src] = queue_len;
-                None
             }
             Message::Migrate {
                 src,
@@ -2632,7 +2588,7 @@ impl<S: TelemetrySink> AcWorld<'_, S> {
                 if token != 0 {
                     if let Some(fs) = &self.faults {
                         if fs.pending[token as usize - 1].state == PendingState::TimedOut {
-                            return None;
+                            return;
                         }
                     }
                 }
@@ -2651,7 +2607,7 @@ impl<S: TelemetrySink> AcWorld<'_, S> {
                     };
                     let lat = self.noc.latency(dst_tile, src_tile, nack.wire_bytes());
                     self.send_msg(q, now + lat, src, nack);
-                    return None;
+                    return;
                 }
                 // The exchange is now settled at the destination: the
                 // descriptors land here no matter what happens to the ACK,
@@ -2685,7 +2641,7 @@ impl<S: TelemetrySink> AcWorld<'_, S> {
                 };
                 let lat = self.noc.latency(dst_tile, src_tile, ack.wire_bytes());
                 self.send_msg(q, now + lat, src, ack);
-                Some(dst)
+                self.try_dispatch(dst, now, q);
             }
             Message::Ack { token, .. } => {
                 // The sender keeps send_inflight > 0 until this arrives, so
@@ -2697,14 +2653,13 @@ impl<S: TelemetrySink> AcWorld<'_, S> {
                         if p.state == PendingState::TimedOut {
                             // Timeout already reclaimed the FIFO slot and
                             // resteered; this stale ACK must change nothing.
-                            return None;
+                            return;
                         }
                         p.state = PendingState::Resolved;
                         p.descriptors.clear();
                     }
                 }
                 self.cold[dst].send_inflight = self.cold[dst].send_inflight.saturating_sub(1);
-                None
             }
             Message::Nack {
                 src: nack_src,
@@ -2716,7 +2671,7 @@ impl<S: TelemetrySink> AcWorld<'_, S> {
                     if let Some(fs) = &mut self.faults {
                         let p = &mut fs.pending[token as usize - 1];
                         if p.state == PendingState::TimedOut {
-                            return None;
+                            return;
                         }
                         p.state = PendingState::Resolved;
                         p.descriptors.clear();
@@ -2738,7 +2693,7 @@ impl<S: TelemetrySink> AcWorld<'_, S> {
                     let qr = QueuedRequest::new(d.trace_idx, self.total_cost(d.trace_idx), now);
                     self.groups[dst].push_netrx(qr);
                 }
-                Some(dst)
+                self.try_dispatch(dst, now, q);
             }
         }
     }
@@ -3261,9 +3216,7 @@ mod tests {
 
     #[test]
     fn streaming_keeps_event_queue_small() {
-        // Tentpole acceptance: peak event-queue population is O(in-flight),
-        // not O(trace) — the peak is a *virtual-ledger* value, identical
-        // across both worker planes.
+        // Peak event-queue population is O(in-flight), not O(trace).
         let dist = ServiceDistribution::Fixed(SimDuration::from_ns(850));
         let t = trace(dist, 0.6, 64, 20_000, 256);
         let mut ac = Altocumulus::new(AcConfig::ac_int(4, 16, dist.mean()));
@@ -3275,21 +3228,8 @@ mod tests {
             r.summary.peak_queue,
             t.len()
         );
-        // The default (elided) worker plane keeps arrivals and the manager
-        // plane as main-loop events but batches the rest; the per-event
-        // oracle pays a Deliver and a WorkerDone per request on top.
-        assert!(r.summary.events > 20_000, "events: {}", r.summary.events);
-        let mut ev_cfg = AcConfig::ac_int(4, 16, dist.mean());
-        ev_cfg.worker_plane = WorkerPlane::EventDriven;
-        let ev = Altocumulus::new(ev_cfg).run_detailed(&t);
-        assert!(ev.summary.events > 40_000, "events: {}", ev.summary.events);
-        assert!(
-            r.summary.events + 40_000 <= ev.summary.events,
-            "worker elision should remove two events per request: {} vs {}",
-            r.summary.events,
-            ev.summary.events
-        );
-        assert_eq!(r.summary.peak_queue, ev.summary.peak_queue);
+        // Every request is at least an Enqueue, a Deliver and a WorkerDone.
+        assert!(r.summary.events > 60_000, "events: {}", r.summary.events);
     }
 
     #[test]
@@ -3342,33 +3282,6 @@ mod tests {
         assert!(
             el.summary.events * 2 < ev.summary.events,
             "idle elision should remove most events: {} vs {}",
-            el.summary.events,
-            ev.summary.events
-        );
-    }
-
-    #[test]
-    fn worker_plane_matches_event_driven_oracle() {
-        // Moderate load with migrations in play: the analytic timelines
-        // carry the whole request lifecycle and must be indistinguishable
-        // from the per-event oracle in every observable — including the
-        // virtual-ledger peak — while processing strictly fewer events.
-        let dist = ServiceDistribution::Fixed(SimDuration::from_ns(850));
-        let t = trace(dist, 0.6, 64, 8_000, 5);
-        let el = Altocumulus::new(AcConfig::ac_int(4, 16, dist.mean())).run_detailed(&t);
-        let mut cfg = AcConfig::ac_int(4, 16, dist.mean());
-        cfg.worker_plane = WorkerPlane::EventDriven;
-        let ev = Altocumulus::new(cfg).run_detailed(&t);
-        assert_eq!(el.system.completions, ev.system.completions);
-        assert_eq!(el.system.end_time, ev.system.end_time);
-        assert_eq!(el.stats, ev.stats);
-        assert!(el.stats.migrated_requests > 0, "load should migrate");
-        assert_eq!(el.summary.peak_queue, ev.summary.peak_queue);
-        assert_eq!(el.summary.end_time, ev.summary.end_time);
-        assert_eq!(el.summary.stopped_early, ev.summary.stopped_early);
-        assert!(
-            el.summary.events < ev.summary.events,
-            "worker elision should cut events: {} vs {}",
             el.summary.events,
             ev.summary.events
         );

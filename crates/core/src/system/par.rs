@@ -38,13 +38,7 @@
 //! Windows too small to pay for the fan-out (or confined to a single
 //! partition) are re-inserted and run serially under the same virtual
 //! ledger. Fault plans never reach this module: [`super::Altocumulus`]
-//! downgrades faulted runs to the serial engine wholesale. Likewise the
-//! parallel engine always runs the *per-event* worker plane — the
-//! quiet-window protocol owns the queue and does its own batching, so
-//! [`WorkerPlane::Elided`](simcore::timeline::WorkerPlane) timelines
-//! (see [`super::wp`]) are a serial-engine optimization only; the
-//! downgrade happens at the same dispatch site and keeps output
-//! byte-identical by construction.
+//! downgrades faulted runs to the serial engine wholesale.
 
 use super::*;
 use simcore::event::EventSource;

@@ -4,15 +4,15 @@
 //! tail-run bound and the single-pass planner are pure layout/traversal
 //! changes: every observable — completions, stats, fault counters,
 //! `peak_queue`, telemetry span chains, probe JSONL — must be byte-identical
-//! however the same simulation is driven. These tests pit the three engines
+//! however the same simulation is driven. These tests pit the two engines
 //! against each other over random configurations, because each engine
 //! stresses a different face of the layout:
 //!
-//! - the **elided serial** engine runs the compacted tick hot path
-//!   (stage-hint staging, register-pass planner, update-log cursors);
-//! - the **per-event serial** oracle routes every delivery/completion
-//!   through the calendar queue as a Copy event resolving in the slab
-//!   arenas (generation checks fire on any aliasing bug);
+//! - the **serial** engine runs the compacted tick hot path (stage-hint
+//!   staging, register-pass planner, update-log cursors) and routes every
+//!   delivery/completion through the calendar queue as a Copy event
+//!   resolving in the slab arenas (generation checks fire on any aliasing
+//!   bug);
 //! - the **parallel** engine lends the hot group plane out to shards while
 //!   the cold plane stays serial — a split-brain layout bug (state that
 //!   should be hot but stayed cold, or vice versa) desynchronizes it.
@@ -23,7 +23,7 @@
 //! period strategy avoids multiples of 3 ns for the tie-freedom reason
 //! documented in `prop_control_plane.rs`.
 
-use altocumulus::{AcConfig, Altocumulus, Attachment, ControlPlane, Interface, WorkerPlane};
+use altocumulus::{AcConfig, Altocumulus, Attachment, ControlPlane, Interface};
 use proptest::prelude::*;
 use simcore::telemetry::Telemetry;
 use simcore::time::SimDuration;
@@ -94,7 +94,7 @@ fn case_strategy() -> impl Strategy<Value = LayoutCase> {
         )
 }
 
-fn build(case: &LayoutCase, mean: SimDuration, plane: WorkerPlane) -> Altocumulus {
+fn build(case: &LayoutCase, mean: SimDuration) -> Altocumulus {
     let mut cfg = match case.attachment {
         Attachment::Integrated => AcConfig::ac_int(case.groups, case.group_size, mean),
         Attachment::RssPcie => AcConfig::ac_rss(case.groups, case.group_size, mean),
@@ -105,7 +105,6 @@ fn build(case: &LayoutCase, mean: SimDuration, plane: WorkerPlane) -> Altocumulu
     cfg.concurrency = case.concurrency;
     cfg.local_bound = case.local_bound;
     cfg.control_plane = case.plane;
-    cfg.worker_plane = plane;
     cfg.seed = case.seed;
     Altocumulus::new(cfg)
 }
@@ -129,9 +128,7 @@ fn dist_for(case: &LayoutCase) -> ServiceDistribution {
     }
 }
 
-/// Byte-level comparison of every observable except `summary.events`
-/// (engines legitimately hide different event classes from the main loop;
-/// the elided engine must only never *add* events).
+/// Byte-level comparison of every observable, event count included.
 macro_rules! assert_observables_identical {
     ($a:expr, $b:expr) => {
         prop_assert_eq!(&$a.system.completions, &$b.system.completions);
@@ -142,32 +139,22 @@ macro_rules! assert_observables_identical {
         prop_assert_eq!($a.summary.end_time, $b.summary.end_time);
         prop_assert_eq!($a.summary.stopped_early, $b.summary.stopped_early);
         prop_assert_eq!($a.summary.peak_queue, $b.summary.peak_queue);
-        prop_assert!(
-            $a.summary.events <= $b.summary.events,
-            "elision added events: {} > {}",
-            $a.summary.events,
-            $b.summary.events
-        );
+        prop_assert_eq!($a.summary.events, $b.summary.events);
     };
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
-    /// All three engines over the compacted layout agree byte-for-byte on
-    /// migration-heavy random configurations. The parallel run uses the
-    /// per-event oracle's event count as its own invariant (both route the
-    /// worker plane through the main queue).
+    /// Both engines over the compacted layout agree byte-for-byte on
+    /// migration-heavy random configurations.
     #[test]
     fn engines_agree_on_compacted_layout(case in case_strategy()) {
         let dist = dist_for(&case);
         let trace = trace_for(&case, &dist, 1200);
-        let elided = build(&case, dist.mean(), WorkerPlane::Elided).run_detailed(&trace);
-        let oracle = build(&case, dist.mean(), WorkerPlane::EventDriven).run_detailed(&trace);
-        assert_observables_identical!(elided, oracle);
-        let par = build(&case, dist.mean(), WorkerPlane::Elided).run_detailed_par(&trace, 2);
-        assert_observables_identical!(par, oracle);
-        prop_assert_eq!(par.summary.events, oracle.summary.events);
+        let serial = build(&case, dist.mean()).run_detailed(&trace);
+        let par = build(&case, dist.mean()).run_detailed_par(&trace, 2);
+        assert_observables_identical!(par, serial);
     }
 
     /// Traced runs: span chains and probe JSONL are part of the byte
@@ -177,15 +164,13 @@ proptest! {
     fn telemetry_identical_on_compacted_layout(case in case_strategy()) {
         let dist = dist_for(&case);
         let trace = trace_for(&case, &dist, 800);
-        let mut tel_elided = Telemetry::new();
-        let mut tel_oracle = Telemetry::new();
-        let elided =
-            build(&case, dist.mean(), WorkerPlane::Elided).run_traced(&trace, &mut tel_elided);
-        let oracle =
-            build(&case, dist.mean(), WorkerPlane::EventDriven).run_traced(&trace, &mut tel_oracle);
-        assert_observables_identical!(elided, oracle);
-        prop_assert_eq!(tel_elided.spans.points(), tel_oracle.spans.points());
-        prop_assert_eq!(tel_elided.probes.to_jsonl(), tel_oracle.probes.to_jsonl());
+        let mut tel_serial = Telemetry::new();
+        let mut tel_par = Telemetry::new();
+        let serial = build(&case, dist.mean()).run_traced(&trace, &mut tel_serial);
+        let par = build(&case, dist.mean()).run_traced_par(&trace, &mut tel_par, 2);
+        assert_observables_identical!(par, serial);
+        prop_assert_eq!(tel_par.spans.points(), tel_serial.spans.points());
+        prop_assert_eq!(tel_par.probes.to_jsonl(), tel_serial.probes.to_jsonl());
     }
 }
 
@@ -203,16 +188,15 @@ fn migration_heavy_mesh_exercises_stage_hint() {
         .seed(11)
         .build();
     let cfg = AcConfig::ac_int(4, 8, mean);
-    let elided = Altocumulus::new(cfg.clone()).run_detailed(&trace);
+    let serial = Altocumulus::new(cfg.clone()).run_detailed(&trace);
     assert!(
-        elided.stats.migrated_requests > 100,
+        serial.stats.migrated_requests > 100,
         "imbalanced mesh should migrate heavily, got {}",
-        elided.stats.migrated_requests
+        serial.stats.migrated_requests
     );
-    let mut oracle_cfg = cfg;
-    oracle_cfg.worker_plane = WorkerPlane::EventDriven;
-    let oracle = Altocumulus::new(oracle_cfg).run_detailed(&trace);
-    assert_eq!(elided.system.completions, oracle.system.completions);
-    assert_eq!(elided.stats, oracle.stats);
-    assert_eq!(elided.summary.peak_queue, oracle.summary.peak_queue);
+    let par = Altocumulus::new(cfg).run_detailed_par(&trace, 2);
+    assert_eq!(serial.system.completions, par.system.completions);
+    assert_eq!(serial.stats, par.stats);
+    assert_eq!(serial.summary.peak_queue, par.summary.peak_queue);
+    assert_eq!(serial.summary.events, par.summary.events);
 }

@@ -10,7 +10,7 @@
 //! The period strategy avoids multiples of 3 ns for the same tie-freedom
 //! reason documented in `prop_control_plane.rs`.
 
-use altocumulus::{AcConfig, Altocumulus, Attachment, ControlPlane, Interface, WorkerPlane};
+use altocumulus::{AcConfig, Altocumulus, Attachment, ControlPlane, Interface};
 use proptest::prelude::*;
 use simcore::faults::{FaultPlan, WorkerFailure};
 use simcore::telemetry::Telemetry;
@@ -97,12 +97,6 @@ fn build(case: &ParCase, mean: SimDuration) -> Altocumulus {
     cfg.concurrency = case.concurrency;
     cfg.local_bound = case.local_bound;
     cfg.control_plane = case.plane;
-    // This suite compares the serial engine against the parallel one, whose
-    // quiet-window protocol owns the queue and therefore always runs the
-    // per-event worker plane. Pin the serial side to the same engine so the
-    // `summary.events` comparison stays meaningful; worker-plane elision has
-    // its own differential oracle in prop_workerplane.rs.
-    cfg.worker_plane = WorkerPlane::EventDriven;
     cfg.seed = case.seed;
     Altocumulus::new(cfg)
 }
@@ -233,7 +227,6 @@ fn partition_join_order_is_irrelevant() {
     let mean = SimDuration::from_ns(850);
     let mut cfg = AcConfig::ac_int(6, 8, mean);
     cfg.period = SimDuration::from_ns(200);
-    cfg.worker_plane = WorkerPlane::EventDriven;
     let dist = ServiceDistribution::Exponential { mean };
     let rate = PoissonProcess::rate_for_load(0.7, 48, mean);
     let trace = TraceBuilder::new(PoissonProcess::new(rate), dist)
@@ -271,8 +264,7 @@ fn partition_join_order_is_irrelevant() {
 #[test]
 fn idle_partitions_leave_no_stale_records() {
     let mean = SimDuration::from_ns(850);
-    let mut cfg = AcConfig::ac_int(16, 16, mean);
-    cfg.worker_plane = WorkerPlane::EventDriven;
+    let cfg = AcConfig::ac_int(16, 16, mean);
     let dist = ServiceDistribution::Fixed(mean);
     let rate = PoissonProcess::rate_for_load(0.6, 256, mean);
     let trace = TraceBuilder::new(PoissonProcess::new(rate), dist)

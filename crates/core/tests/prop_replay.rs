@@ -3,9 +3,8 @@
 //! The recorded event stream is an *engine-independent* run identity: on
 //! any configuration, the `TRACE/1.0` artifact produced with a recording
 //! sink attached must be identical — event for event, at exact `(time,
-//! seq)` rank — whether the run executed on the elided serial engine, the
-//! event-driven serial engine, or the quiet-window parallel engine at any
-//! thread count. A summary-granularity recording (the golden-trace format)
+//! seq)` rank — whether the run executed on the serial engine or the
+//! quiet-window parallel engine at any thread count. A summary-granularity recording (the golden-trace format)
 //! must likewise verify digest-for-digest against a full re-recording,
 //! which is exactly what the `replay` binary does for a golden gate.
 //!
@@ -16,7 +15,7 @@
 //! threads) must be rejected at exactly the first divergent index, with a
 //! diff that names the divergent `(time, seq)`.
 
-use altocumulus::{event_kind_names, AcConfig, Altocumulus, WorkerPlane};
+use altocumulus::{event_kind_names, AcConfig, Altocumulus};
 use proptest::prelude::*;
 use simcore::time::SimDuration;
 use simcore::trace::{
@@ -73,24 +72,21 @@ fn trace_for(case: &Case, requests: usize) -> Trace {
         .build()
 }
 
-/// Records one run of `case` on the engine selected by `(plane, threads)`
-/// and parses the section back: `threads == 1` degenerates the
-/// partitioning, so the serial engine chosen by `plane` runs; `threads >=
-/// 2` engages the quiet-window parallel engine (which ignores `plane`).
-/// `config_fp`/`trace_fp` are pinned to 0 — the worker-plane knob is part
-/// of the config fingerprint by design, and this suite compares *event
-/// streams* across engines, not provenance (which has its own unit tests).
+/// Records one run of `case` on the engine selected by `threads` and
+/// parses the section back: `threads == 1` degenerates the partitioning, so
+/// the serial engine runs; `threads >= 2` engages the quiet-window parallel
+/// engine. `config_fp`/`trace_fp` are pinned to 0 — this suite compares
+/// *event streams* across engines, not provenance (which has its own unit
+/// tests).
 fn record(
     case: &Case,
     trace: &Trace,
-    plane: WorkerPlane,
     threads: usize,
     perturb: Option<u64>,
     granularity: Granularity,
 ) -> ParsedRun {
     let mean = SimDuration::from_ns(850);
     let mut cfg = AcConfig::ac_int(case.groups, case.group_size, mean);
-    cfg.worker_plane = plane;
     cfg.seed = case.seed;
     let seed = cfg.seed;
     let mut sys = Altocumulus::new(cfg);
@@ -141,29 +137,24 @@ fn diff_of(expected: &ParsedRun, actual: &ParsedRun) -> String {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Record -> replay round-trips divergence-free across all three
-    /// engines and `PAR_THREADS` in {1, 4}: the full event stream of the
-    /// elided serial engine, the event-driven serial engine, and the
-    /// parallel engine are pairwise identical, and a summary-granularity
+    /// Record -> replay round-trips divergence-free across both engines
+    /// and `PAR_THREADS` in {1, 4}: the full event streams of the serial
+    /// and the parallel engine are identical, and a summary-granularity
     /// recording (the golden format) verifies against a full re-record.
     #[test]
     fn round_trip_is_engine_invariant(case in case_strategy()) {
         let trace = trace_for(&case, 2_000);
-        let elided = record(&case, &trace, WorkerPlane::Elided, 1, None, Granularity::Full);
-        let ev = record(&case, &trace, WorkerPlane::EventDriven, 1, None, Granularity::Full);
-        let par = record(&case, &trace, WorkerPlane::EventDriven, 4, None, Granularity::Full);
-        prop_assert_eq!(&elided.engine, "serial_elided");
-        prop_assert_eq!(&ev.engine, "serial_event_driven");
+        let serial = record(&case, &trace, 1, None, Granularity::Full);
+        let par = record(&case, &trace, 4, None, Granularity::Full);
+        prop_assert_eq!(&serial.engine, "serial_event_driven");
         prop_assert_eq!(&par.engine, "parallel");
-        prop_assert!(elided.footer.events > 0);
+        prop_assert!(serial.footer.events > 0);
 
-        let d = diff_of(&elided, &ev);
-        prop_assert!(d.is_empty(), "elided vs event-driven diverged:\n{}", d);
-        let d = diff_of(&ev, &par);
-        prop_assert!(d.is_empty(), "event-driven vs parallel diverged:\n{}", d);
+        let d = diff_of(&serial, &par);
+        prop_assert!(d.is_empty(), "serial vs parallel diverged:\n{}", d);
 
         // Golden flow: summary recording vs full re-record on another engine.
-        let summary = record(&case, &trace, WorkerPlane::Elided, 1, None, Granularity::Summary);
+        let summary = record(&case, &trace, 1, None, Granularity::Summary);
         let d = diff_of(&summary, &par);
         prop_assert!(d.is_empty(), "summary vs full replay diverged:\n{}", d);
     }
@@ -177,7 +168,7 @@ proptest! {
         pick in 0u64..u64::MAX,
     ) {
         let trace = trace_for(&case, 1_000);
-        let honest = record(&case, &trace, WorkerPlane::EventDriven, 1, None, Granularity::Full);
+        let honest = record(&case, &trace, 1, None, Granularity::Full);
         prop_assume!(!honest.events.is_empty());
         let i = (pick % honest.events.len() as u64) as usize;
 
@@ -212,23 +203,9 @@ fn perturbed_recording_is_caught_with_exact_location() {
         fixed_service: false,
     };
     let trace = trace_for(&case, 2_000);
-    let honest = record(
-        &case,
-        &trace,
-        WorkerPlane::EventDriven,
-        1,
-        None,
-        Granularity::Full,
-    );
+    let honest = record(&case, &trace, 1, None, Granularity::Full);
     let k = honest.events.len() / 3;
-    let perturbed = record(
-        &case,
-        &trace,
-        WorkerPlane::EventDriven,
-        1,
-        Some(k as u64),
-        Granularity::Full,
-    );
+    let perturbed = record(&case, &trace, 1, Some(k as u64), Granularity::Full);
 
     let div = first_divergence(&perturbed, &honest).expect("perturbation must be caught");
     let Divergence::Event {

@@ -18,8 +18,6 @@
 //! - [`parallel`]: deterministic thread fan-out for parameter sweeps.
 //! - [`parengine`]: partitioning and worker-pool plumbing for the
 //!   parallel-in-one-run engine.
-//! - [`timeline`]: `(time, seq)`-ordered analytic timelines for
-//!   worker-plane event elision, plus the [`timeline::WorkerPlane`] knob.
 //! - [`report`]: aligned plain-text tables for experiment output.
 //! - [`telemetry`]: request-lifecycle spans, time-series probes and
 //!   Perfetto/JSONL export behind a zero-cost [`telemetry::TelemetrySink`].
@@ -89,7 +87,6 @@ pub mod slab;
 pub mod stats;
 pub mod telemetry;
 pub mod time;
-pub mod timeline;
 pub mod trace;
 
 pub use event::{
@@ -102,5 +99,4 @@ pub use parengine::{par_threads, Partitioning};
 pub use stats::{batch_means_ci, MeanCi};
 pub use telemetry::{NullSink, Telemetry, TelemetrySink};
 pub use time::{SimDuration, SimTime};
-pub use timeline::{worker_plane, Timeline, WorkerPlane};
 pub use trace::{Granularity, Recorder};

@@ -16,7 +16,7 @@
 //!
 //! ```text
 //! {"artifact":"TRACE/1.0","bin":"fig10_comparison","scenario":"fig10_quick","quick":true,"runs":4}
-//! {"run":"AC_rss@0.05","version":"TRACE/1.0","engine":"serial_elided","seed":10,
+//! {"run":"AC_rss@0.05","version":"TRACE/1.0","engine":"serial_event_driven","seed":10,
 //!  "config_fp":"0x1234","trace_fp":"0x5678","granularity":"summary","checkpoint_every":512,
 //!  "params":{"load":"0.05"}}
 //! {"e":[t_ps,seq,kind,group,"0xpayload"]}      # full granularity only

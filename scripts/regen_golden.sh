@@ -75,7 +75,9 @@ echo "==> provenance"
   echo "## Provenance of the current blessing"
   echo
   echo "- toolchain: $(rustc --version)"
-  echo "- commit: $(git rev-parse --short HEAD 2>/dev/null || echo 'uncommitted')"
+  # `-dirty` marks a blessing made from uncommitted changes on top of the
+  # named commit (the usual case: goldens ship with the change they bless).
+  echo "- commit: $(git describe --always --dirty 2>/dev/null || echo 'uncommitted')"
   echo "- host: $(uname -sm)"
 } > ci/golden/README.md
 
