@@ -4,12 +4,10 @@
 # 256-core (16x16) mesh — the latter under both control planes (Elided vs
 # EventDriven) so the manager-plane event-elision win is recorded
 # head-to-head, and once more on Exponential service over 4096 connections
-# (the benchmark's traffic shape) — and a 1024-core (32x32) mesh. The 16x16
-# and 32x32 elided
-# cases are also run through the quiet-window parallel engine at
-# PAR_THREADS={2,4,8}; each parallel row asserts byte-identical invariants
-# against its serial baseline before being recorded. Writes the result to
-# BENCH_hotpath.json. Run from the repository root:
+# (the benchmark's traffic shape) — plus a 1024-core (32x32) mesh and the
+# two-level rack tier. Every row is one run on one thread, best of 7, and
+# records the host's hw_threads. Writes the result to BENCH_hotpath.json.
+# Run from the repository root:
 #
 #   ./bench_hotpath.sh
 #

@@ -114,19 +114,25 @@ cmp target/rack_sweep_quick.txt target/rack_sweep_b.txt
 cmp target/rack_sweep_quick.txt target/rack_sweep_c.txt
 rm -f target/rack_sweep_b.txt target/rack_sweep_c.txt
 
-echo "==> parallel-engine determinism (PAR_THREADS=4 vs serial)"
-# The quiet-window parallel engine must match the serial engine byte for
-# byte: the same stdout the golden gate pinned above, reproduced with the
-# mesh partitioned across 4 worker threads. The faulted sweep additionally
-# proves the downgrade guard (non-empty fault plans run serially) keeps
-# byte-identity under a PAR_THREADS request.
-PAR_THREADS=4 cargo run -q -p bench --release --bin fig10_comparison -- --quick \
-  > target/fig10_par.txt
-cmp target/fig10_quick.txt target/fig10_par.txt
-PAR_THREADS=4 cargo run -q -p bench --release --bin fault_sweep -- --quick \
-  > target/fault_sweep_par.txt
-cmp target/fault_sweep_quick.txt target/fault_sweep_par.txt
-rm -f target/fig10_par.txt target/fault_sweep_par.txt
+echo "==> replay gate negative control (AC_TRACE_PERTURB)"
+# A gate that cannot fail proves nothing. Record fig10 --quick with event
+# 18342 of every run bumped by +1 ps; replay must exit non-zero and locate
+# the divergence in the checkpoint block holding that event, in all 4 runs.
+AC_TRACE_PERTURB=18342 cargo run -q -p bench --release --bin fig10_comparison -- --quick \
+  --record-out=target/perturbed.trace.jsonl > /dev/null 2> /dev/null
+if cargo run -q -p bench --release --bin replay -- target/perturbed.trace.jsonl \
+  > target/perturbed.replay.txt 2>&1; then
+  echo "REPLAY GATE BROKEN: a perturbed recording replayed clean" >&2
+  exit 1
+fi
+located=$(grep -c 'event block \[17920\.\.18432)' target/perturbed.replay.txt || true)
+if [ "$located" != 4 ]; then
+  echo "REPLAY GATE BROKEN: expected 4 runs diverging in event block [17920..18432)," \
+    "found $located" >&2
+  cat target/perturbed.replay.txt >&2
+  exit 1
+fi
+rm -f target/perturbed.trace.jsonl target/perturbed.replay.txt
 
 echo "==> telemetry-export smoke"
 # Export a real trace from the hotpath harness and lint it: the Chrome-trace

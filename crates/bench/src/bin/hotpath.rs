@@ -63,34 +63,6 @@ fn measure(cfg: &AcConfig, t: &workload::Trace) -> Measured {
     best
 }
 
-/// Measure the quiet-window parallel engine at an explicit thread count,
-/// asserting that its invariant outputs (event count, peak serial-queue
-/// occupancy) are byte-identical to the serial engine's — the bench doubles
-/// as a determinism gate on every refresh.
-fn measure_par(cfg: &AcConfig, t: &workload::Trace, threads: usize, serial: &Measured) -> Measured {
-    let mut best = Measured {
-        wall_ms: f64::MAX,
-        events: 0,
-        peak_queue: 0,
-    };
-    for _ in 0..ITERS {
-        let mut sys = Altocumulus::new(cfg.clone());
-        let start = Instant::now();
-        let r = sys.run_detailed_par(t, threads);
-        let ms = start.elapsed().as_secs_f64() * 1e3;
-        assert_eq!(r.system.completions.len(), t.len());
-        best.wall_ms = best.wall_ms.min(ms);
-        best.events = r.summary.events;
-        best.peak_queue = r.summary.peak_queue;
-    }
-    assert_eq!(best.events, serial.events, "parallel engine diverged");
-    assert_eq!(
-        best.peak_queue, serial.peak_queue,
-        "parallel engine diverged"
-    );
-    best
-}
-
 fn hw_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -110,9 +82,8 @@ fn emit(label: &str, m: &Measured, trailing_comma: bool) {
         m.wall_ms * 1e6 / m.events as f64
     );
     println!("    \"peak_event_queue\": {},", m.peak_queue);
-    // Recorded per row (not just globally) so drift checks can tell
-    // whether a PAR_THREADS row was measured with real parallelism or is
-    // just engine overhead on a single hardware thread.
+    // Recorded per row (not just globally) so a row carries the host
+    // shape it was measured on.
     println!("    \"hw_threads\": {}", hw_threads());
     println!("  }}{}", if trailing_comma { "," } else { "" });
 }
@@ -144,21 +115,9 @@ fn main() {
     let t256_exp = trace_of(exp, 256, 40_000, 0.6, 4096);
     let big_exp = measure(&big_cfg, &t256_exp);
 
-    // Parallel-engine rows: the same 16x16 case through the quiet-window
-    // engine at 2/4/8 worker threads, plus a 1024-core (32x32 mesh, 64
-    // groups x 16) case. Each parallel row asserts byte-identical
-    // invariants against the serial engine.
-    let par16: Vec<(usize, Measured)> = [2usize, 4, 8]
-        .iter()
-        .map(|&n| (n, measure_par(&big_cfg, &t256, n, &big)))
-        .collect();
+    // The 1024-core case: a 32x32 mesh, 64 groups x 16.
     let t1024 = trace(1024, 60_000, 0.6);
-    let huge_cfg = AcConfig::ac_int(64, 16, mean);
-    let huge = measure(&huge_cfg, &t1024);
-    let par32: Vec<(usize, Measured)> = [2usize, 4, 8]
-        .iter()
-        .map(|&n| (n, measure_par(&huge_cfg, &t1024, n, &huge)))
-        .collect();
+    let huge = measure(&AcConfig::ac_int(64, 16, mean), &t1024);
 
     // Rack tier: the CI quick shape (4 AC servers x 16 cores) behind the
     // two-level scheduler, healthy, at the top quick load. One iteration is
@@ -209,17 +168,10 @@ fn main() {
     println!("  \"config_rack\": \"12k requests, 4 AC servers x 16 cores, load 0.8, bimodal(paper), two-level ToR routing\",");
     println!("  \"iters_best_of\": {ITERS},");
     println!("  \"hw_threads\": {},", hw_threads());
-    println!("  \"par_note\": \"PAR_THREADS rows use the quiet-window parallel engine; invariants asserted byte-identical to serial. With hw_threads=1 these rows measure engine overhead, not speedup.\",");
     emit("altocumulus_int_4x16", &small, true);
     emit("altocumulus_int_16x16_elided", &big, true);
     emit("altocumulus_int_16x16_exp", &big_exp, true);
-    for (n, m) in &par16 {
-        emit(&format!("altocumulus_int_16x16_elided_par{n}"), m, true);
-    }
     emit("altocumulus_int_32x32_elided", &huge, true);
-    for (n, m) in &par32 {
-        emit(&format!("altocumulus_int_32x32_elided_par{n}"), m, true);
-    }
     emit("altocumulus_int_16x16_event_driven", &big_legacy, true);
     emit("rack_4x16_ac", &rack, true);
     println!("  \"manager_plane_event_cut_pct\": {mgr_cut:.1},");

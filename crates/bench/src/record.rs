@@ -2,7 +2,7 @@
 //!
 //! A figure run recorded with `--record-out` produces a versioned
 //! `TRACE/1.0` artifact (see [`simcore::trace`]) capturing the run's full
-//! identity — configuration fingerprint, seed, resolved engine, per-stream
+//! identity — configuration fingerprint, seed, engine label, per-stream
 //! RNG draw counts — plus the executed event sequence at a configurable
 //! granularity. The `replay` binary reconstructs the same runs from the
 //! scenario registry below, re-records them at full granularity, and fails
@@ -366,20 +366,27 @@ pub fn record_run_with(spec: &RunSpec, rec: &mut Recorder) -> (String, AcResult)
     (out, res)
 }
 
-/// Records a whole scenario into one `TRACE/1.0` artifact. The recorder for
-/// each run honours the `AC_TRACE_PERTURB` test knob (see
-/// [`simcore::trace::PERTURB_ENV`]), so a deliberately corrupted artifact
-/// can be produced for exercising the replay gate.
+/// Environment knob for exercising the replay gate: when set to an event
+/// index, [`record_artifact`] perturbs that event's recorded time by +1 ps
+/// in every run (see [`Recorder::with_perturb`]), so the artifact diverges
+/// from an honest replay at that exact `(time, seq)`. Never set outside
+/// tests and CI.
+pub const PERTURB_ENV: &str = "AC_TRACE_PERTURB";
+
+/// Records a whole scenario into one `TRACE/1.0` artifact. Each run's
+/// recorder honours the [`PERTURB_ENV`] test knob, so a deliberately
+/// corrupted artifact can be produced for exercising the replay gate.
 pub fn record_artifact(
     bin: &str,
     quick: bool,
     granularity: Granularity,
     specs: &[RunSpec],
 ) -> String {
+    let perturb = std::env::var(PERTURB_ENV).ok().and_then(|v| v.parse().ok());
     let mut out = String::new();
     write_artifact_meta(&mut out, bin, bin, quick, specs.len());
     for spec in specs {
-        let mut rec = Recorder::new(granularity);
+        let mut rec = Recorder::new(granularity).with_perturb(perturb);
         let (section, _) = record_run_with(spec, &mut rec);
         out.push_str(&section);
     }
@@ -387,10 +394,10 @@ pub fn record_artifact(
 }
 
 /// Re-runs `spec` fresh at full granularity for replay comparison. The
-/// perturbation knob is force-cleared: a perturbed *recording* must diverge
-/// against an honest replay, not cancel out.
+/// replay never perturbs: a perturbed *recording* must diverge against an
+/// honest replay, not cancel out.
 fn replay_run(spec: &RunSpec) -> ParsedRun {
-    let mut rec = Recorder::new(Granularity::Full).with_perturb(None);
+    let mut rec = Recorder::new(Granularity::Full);
     let (section, _) = record_run_with(spec, &mut rec);
     let mut text = String::new();
     write_artifact_meta(&mut text, "replay", "replay", false, 1);

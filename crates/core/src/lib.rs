@@ -19,7 +19,8 @@
 //!   `altom_*` instructions (or slower x86 MSRs);
 //! - the **system model** ([`system`]) wires everything into a
 //!   discrete-event simulation comparable head-to-head with the baselines in
-//!   the `schedulers` crate;
+//!   the `schedulers` crate. One run executes on one thread; sweeps and
+//!   racks get their parallelism across independent runs;
 //! - [`accounting`] reproduces the paper's migration-effectiveness and
 //!   prediction-accuracy analyses (Fig. 12/13).
 //!

@@ -15,8 +15,8 @@
 //! - **Level 2 (intra-server):** each server is a full [`Altocumulus`]
 //!   world with its own group mesh and migration machinery (or a d-FCFS /
 //!   JBSQ baseline for head-to-head rack comparisons), driven through the
-//!   existing calendar-queue engine stack unchanged — `choose_engine`
-//!   downgrades per server exactly as in single-server runs.
+//!   same serial calendar-queue engine as a single-server run. Servers are
+//!   independent runs, so they fan out across threads.
 //!
 //! The ToR hop is modeled like the `hw` transfer paths ([`rpcstack::nic::
 //! Transfer`], [`crate::hw::fifo::BoundedFifo`]): a fixed switch latency

@@ -6,6 +6,10 @@
 //! group) into one discrete-event model implementing
 //! [`schedulers::common::RpcSystem`], so it can be compared head-to-head
 //! with every baseline on identical traces.
+//!
+//! A run executes on one thread, in the serial [`run_streamed`] loop over
+//! the calendar queue; parallelism lives across independent runs
+//! (`simcore::parallel_map` over sweep cells and rack servers).
 
 use crate::accounting::PredictedSet;
 use crate::config::{AcConfig, Attachment, ControlPlane};
@@ -22,7 +26,6 @@ use rpcstack::nic::{NicModel, Transfer};
 use schedulers::common::{QueuedRequest, RpcSystem, SystemResult};
 use simcore::event::{run_streamed, EventQueue, RunSummary, StreamInjector, World};
 use simcore::faults::{NocDecision, NocFaultRng};
-use simcore::parengine::{par_threads, Partitioning};
 use simcore::rng::{stream_rng, streams, BatchedRng, CountingRng};
 use simcore::slab::{Handle, Slab};
 use simcore::telemetry::{NullSink, Telemetry, TelemetrySink};
@@ -32,8 +35,6 @@ use std::cell::Cell;
 use std::collections::VecDeque;
 use workload::request::Completion;
 use workload::trace::Trace;
-
-mod par;
 
 /// Counters describing the migration machinery's behaviour during a run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -116,9 +117,9 @@ pub struct AcResult {
     pub summary: RunSummary,
     /// Fault-injection and recovery counters.
     pub faults: FaultStats,
-    /// Label of the engine that actually drove the run (after eligibility
-    /// resolution): `"serial_event_driven"` or `"parallel"`. Provenance
-    /// only — both produce byte-identical observables.
+    /// Label of the engine that drove the run, recorded as provenance in
+    /// run artifacts. Always `"serial_event_driven"`: one run executes on
+    /// one thread, and parallelism lives across independent runs.
     pub engine: &'static str,
     /// Per-stream RNG draw accounting.
     pub rng: RngDraws,
@@ -154,69 +155,10 @@ impl Altocumulus {
     /// instead of the whole trace. Seqs for all arrivals are reserved up
     /// front in trace order, so the pop order — and therefore every result
     /// byte — is identical to the old upfront pre-push.
-    ///
-    /// When the `PAR_THREADS` environment variable is set to ≥ 2 (and the
-    /// run is eligible — multi-group, no fault plan), the parallel
-    /// quiet-window engine drives the run instead; its output is
-    /// byte-identical to the serial engine at every thread count.
     pub fn run_detailed(&mut self, trace: &Trace) -> AcResult {
         // Monomorphized against the no-op sink: the compiled hot path is
         // the telemetry-free one, with zero extra instructions.
-        self.run_with(trace, &mut NullSink, self.auto_mode())
-    }
-
-    /// Like [`run_detailed`](Self::run_detailed), but explicitly parallel
-    /// across `threads` worker threads (groups are split into `threads`
-    /// near-equal contiguous partitions). `threads <= 1`, a single group,
-    /// or a non-empty fault plan all fall back to the serial engine; the
-    /// result is byte-identical either way.
-    pub fn run_detailed_par(&mut self, trace: &Trace, threads: usize) -> AcResult {
-        self.run_with(trace, &mut NullSink, self.even_mode(threads))
-    }
-
-    /// [`run_traced`](Self::run_traced) on the parallel engine; span logs
-    /// and probe rings merge deterministically, byte-identical to serial.
-    pub fn run_traced_par(
-        &mut self,
-        trace: &Trace,
-        tel: &mut Telemetry,
-        threads: usize,
-    ) -> AcResult {
-        self.run_with(trace, tel, self.even_mode(threads))
-    }
-
-    /// Test hook: run parallel under an explicit (possibly permuted)
-    /// partitioning of the groups.
-    #[doc(hidden)]
-    pub fn run_detailed_partitioned(&mut self, trace: &Trace, parts: Partitioning) -> AcResult {
-        self.run_with(trace, &mut NullSink, RunMode::Parallel(parts))
-    }
-
-    /// Test hook: [`run_traced`](Self::run_traced) under an explicit
-    /// partitioning.
-    #[doc(hidden)]
-    pub fn run_traced_partitioned(
-        &mut self,
-        trace: &Trace,
-        tel: &mut Telemetry,
-        parts: Partitioning,
-    ) -> AcResult {
-        self.run_with(trace, tel, RunMode::Parallel(parts))
-    }
-
-    /// The engine mode the `PAR_THREADS` environment knob selects.
-    fn auto_mode(&self) -> RunMode {
-        self.even_mode(par_threads())
-    }
-
-    /// An even contiguous split across `threads` partitions, or serial when
-    /// the run is not eligible.
-    fn even_mode(&self, threads: usize) -> RunMode {
-        if threads >= 2 && self.cfg.groups >= 2 {
-            RunMode::Parallel(Partitioning::even(self.cfg.groups, threads))
-        } else {
-            RunMode::Serial
-        }
+        self.run_with(trace, &mut NullSink)
     }
 
     /// Runs the full simulation while recording request-lifecycle spans and
@@ -231,7 +173,7 @@ impl Altocumulus {
     /// [`crate::telemetry::phase_table`] and
     /// [`simcore::telemetry::ProbeSet::to_jsonl`].
     pub fn run_traced(&mut self, trace: &Trace, tel: &mut Telemetry) -> AcResult {
-        self.run_with(trace, tel, self.auto_mode())
+        self.run_with(trace, tel)
     }
 
     /// Runs the full simulation while recording the executed event sequence
@@ -242,52 +184,12 @@ impl Altocumulus {
     /// Like [`run_traced`](Self::run_traced), recording is non-perturbing:
     /// the sink only observes `(time, seq, event)` ranks the engine already
     /// computed, so the returned [`AcResult`] is byte-identical to
-    /// [`run_detailed`](Self::run_detailed) on the same trace. All three
-    /// engines record the same sequence — the artifact is engine-independent.
+    /// [`run_detailed`](Self::run_detailed) on the same trace.
     pub fn run_recorded(&mut self, trace: &Trace, rec: &mut Recorder) -> AcResult {
-        self.run_with(trace, rec, self.auto_mode())
+        self.run_with(trace, rec)
     }
 
-    /// Test hook: [`run_recorded`](Self::run_recorded) under an explicit
-    /// partitioning (parallel-engine record/replay coverage).
-    #[doc(hidden)]
-    pub fn run_recorded_partitioned(
-        &mut self,
-        trace: &Trace,
-        rec: &mut Recorder,
-        parts: Partitioning,
-    ) -> AcResult {
-        self.run_with(trace, rec, RunMode::Parallel(parts))
-    }
-
-    /// Resolves the requested [`RunMode`] into the one [`Engine`] that
-    /// drives the run. Every eligibility rule lives here, so the group-store
-    /// layout and the event-loop selection in `run_with` cannot disagree:
-    ///
-    /// - A non-empty fault plan forces the serial engine: fault events are
-    ///   rare, cross-group, and RNG-bearing — exactly what the quiet-window
-    ///   protocol serializes anyway, so the parallel path refuses them
-    ///   (trivially byte-identical).
-    /// - A degenerate partitioning (under two parts, or one not covering
-    ///   the mesh) falls back to serial.
-    fn choose_engine(&self, mode: RunMode) -> Engine {
-        match mode {
-            RunMode::Parallel(p)
-                if self.cfg.faults.is_empty() && p.parts() >= 2 && p.items() == self.cfg.groups =>
-            {
-                Engine::Parallel(p)
-            }
-            _ => Engine::Serial,
-        }
-    }
-
-    fn run_with<S: TelemetrySink>(
-        &mut self,
-        trace: &Trace,
-        tel: &mut S,
-        mode: RunMode,
-    ) -> AcResult {
-        let engine = self.choose_engine(mode);
+    fn run_with<S: TelemetrySink>(&mut self, trace: &Trace, tel: &mut S) -> AcResult {
         let cfg = &self.cfg;
         let nic = NicModel::default();
         let attach_transfer = match cfg.attachment {
@@ -415,10 +317,6 @@ impl Altocumulus {
                 upd_pending: Vec::new(),
             })
             .collect();
-        let groups = match &engine {
-            Engine::Parallel(p) => GroupStore::partitioned(groups, p),
-            _ => GroupStore::serial(groups),
-        };
         let noc = MeshNoc::new_square(cfg.total_cores() as u32);
         let topo = (0..cfg.groups)
             .map(|g| {
@@ -540,10 +438,7 @@ impl Altocumulus {
                 queue.push(f.at, Ev::Fault(FaultEv::ManagerFail(f.group as u32)));
             }
         }
-        let summary = match &engine {
-            Engine::Serial => run_streamed(&mut world, &mut queue, &mut source, SimTime::MAX),
-            Engine::Parallel(p) => par::run_windows(&mut world, &mut queue, &mut source, p),
-        };
+        let summary = run_streamed(&mut world, &mut queue, &mut source, SimTime::MAX);
         world.finalize_idle_accounting(summary.end_time);
         let fault_stats = world.faults.as_ref().map(|f| f.stats).unwrap_or_default();
         let fault_draws = world
@@ -556,7 +451,7 @@ impl Altocumulus {
             stats: world.stats,
             summary,
             faults: fault_stats,
-            engine: engine.label(),
+            engine: "serial_event_driven",
             rng: RngDraws {
                 nic: nic_draws.get(),
                 faults: fault_draws,
@@ -577,38 +472,6 @@ impl RpcSystem for Altocumulus {
 
     fn run(&mut self, trace: &Trace) -> SystemResult {
         self.run_detailed(trace).system
-    }
-}
-
-/// Which engine a caller *requested* for one run. Resolved — eligibility
-/// rules applied — into an [`Engine`] by [`Altocumulus::choose_engine`].
-enum RunMode {
-    /// The classic single-threaded loop.
-    Serial,
-    /// The quiet-window engine: partitions of the group mesh execute
-    /// windows of intra-group events on worker threads, with every
-    /// serial-only event (ticks, messages) and all observable output
-    /// replayed on the exact serial `(time, seq)` order.
-    Parallel(Partitioning),
-}
-
-/// The fully resolved engine of one run — the single value the group-store
-/// layout and the event-loop dispatch both match on. Both variants produce
-/// byte-identical observables.
-enum Engine {
-    /// Serial loop, every event through the calendar queue.
-    Serial,
-    /// Quiet-window parallel engine.
-    Parallel(Partitioning),
-}
-
-impl Engine {
-    /// Stable label for run artifacts ([`AcResult::engine`]).
-    fn label(&self) -> &'static str {
-        match self {
-            Engine::Serial => "serial_event_driven",
-            Engine::Parallel(_) => "parallel",
-        }
     }
 }
 
@@ -681,31 +544,18 @@ fn msg_digest(msg: &Message) -> u64 {
 
 /// The `(kind, group, payload)` descriptor of one executed event, as
 /// recorded into `TRACE/1.0` artifacts (see [`event_kind_names`] for the
-/// tag vocabulary). Engine-invariant by the byte-identity guarantee: slab
-/// handles allocate in identical order across engines, message payloads are
-/// digested by content, and every field the descriptor folds is part of the
-/// observable event sequence.
+/// tag vocabulary). Message payloads are digested by content, and every
+/// field the descriptor folds is part of the observable event sequence.
 fn describe_ev(ev: &Ev, msg_slab: &Slab<Message>) -> (u8, u32, u64) {
-    if let Ev::Msg { dst, msg, .. } = ev {
-        // Observation runs before `handle` takes the payload out of the
-        // arena, so the handle always resolves here.
-        let digest = msg_slab.get(*msg).map_or(0, msg_digest);
-        return (5, *dst, digest);
-    }
-    describe_slabless_ev(ev)
-}
-
-/// [`describe_ev`] for the event variants that carry no arena payload —
-/// everything a parallel shard can execute, so shard-side recording needs
-/// no access to the world's message slab.
-fn describe_slabless_ev(ev: &Ev) -> (u8, u32, u64) {
     match ev {
         Ev::Enqueue(g, idx) => (0, *g, *idx as u64),
         Ev::Deliver(g, w, h) => (1, *g, ((*w as u64) << 32) | h.index() as u64),
         Ev::WorkerDone(g, w, epoch) => (2, *g, ((*w as u64) << 32) | *epoch as u64),
         Ev::MgrOpDone(g) => (3, *g, 0),
         Ev::Tick(g) => (4, *g, 0),
-        Ev::Msg { .. } => unreachable!("Msg descriptors need the message arena"),
+        // Observation runs before `handle` takes the payload out of the
+        // arena, so the handle always resolves here.
+        Ev::Msg { dst, msg, .. } => (5, *dst, msg_slab.get(*msg).map_or(0, msg_digest)),
         Ev::RecvDrained(g) => (6, *g, 0),
         Ev::Fault(fe) => {
             let (group, payload) = match fe {
@@ -751,7 +601,7 @@ enum Ev {
         /// The queue sequence number this event was pushed under.
         seq: u64,
         /// Payload handle, resolved in the world's message arena
-        /// (`AcWorld::msg_slab`); messages never enter worker shards.
+        /// (`AcWorld::msg_slab`).
         msg: Handle,
     },
     /// Receive-FIFO slot at manager `group` drained by the migrator.
@@ -777,9 +627,7 @@ enum FaultEv {
 
 /// The *hot* plane of one group: exactly the state the per-event request
 /// lifecycle (`Enqueue`/`Deliver`/`WorkerDone`/`MgrOpDone`/`RecvDrained`)
-/// reads and writes. This is also the state that moves into worker shards
-/// of the parallel engine, so everything a shard-handled event touches must
-/// live here. Everything only the serial control plane (ticks, messages,
+/// reads and writes. Everything only the control plane (ticks, messages,
 /// faults) touches lives in [`GroupCold`], a dense parallel `Vec` on
 /// [`AcWorld`], keeping this struct — and therefore the cache footprint of
 /// a hot handler — small.
@@ -812,11 +660,10 @@ struct Group {
     arrivals_since_tick: u64,
 }
 
-/// The *cold* plane of one group: state only the serial control plane —
-/// periodic ticks, protocol messages, dormancy bookkeeping — ever touches.
-/// Stored as a dense `Vec<GroupCold>` on [`AcWorld`] (never lent to
-/// parallel shards), indexed by group id in lockstep with the hot
-/// [`Group`] store.
+/// The *cold* plane of one group: state only the control plane — periodic
+/// ticks, protocol messages, dormancy bookkeeping — ever touches. Stored as
+/// a dense `Vec<GroupCold>` on [`AcWorld`], indexed by group id in lockstep
+/// with the hot [`Group`] vector.
 struct GroupCold {
     /// Latest known queue length of every manager (PR `q` vector).
     q_view: Vec<u32>,
@@ -900,85 +747,6 @@ impl Group {
     fn push_netrx(&mut self, qr: QueuedRequest) {
         self.stage_hint = if qr.migrated { self.stage_hint + 1 } else { 0 };
         self.netrx.push_back(qr);
-    }
-}
-
-/// Owns every [`Group`], laid out by partition so the parallel engine can
-/// lend whole partitions to worker threads as owned `Vec<Group>`s (the
-/// crate forbids `unsafe`, so shards receive their groups by move, not by
-/// pointer).
-///
-/// Serial runs use a single partition; indexing cost is one extra slot
-/// lookup either way, and `world.groups[g]` syntax is preserved through the
-/// `Index` impls.
-struct GroupStore {
-    parts: Vec<Vec<Group>>,
-    /// `slots[g] = (partition, offset within it)`.
-    slots: Vec<(u32, u32)>,
-}
-
-impl GroupStore {
-    /// All groups in one partition (the serial layout).
-    fn serial(groups: Vec<Group>) -> Self {
-        let slots = (0..groups.len()).map(|g| (0, g as u32)).collect();
-        GroupStore {
-            parts: vec![groups],
-            slots,
-        }
-    }
-
-    /// Groups laid out by `partitioning`: partition `p` holds the groups of
-    /// `partitioning.ranges()[p]`, in ascending group order.
-    fn partitioned(groups: Vec<Group>, partitioning: &Partitioning) -> Self {
-        assert_eq!(groups.len(), partitioning.items());
-        let mut slots = vec![(0u32, 0u32); groups.len()];
-        let mut take: Vec<Option<Group>> = groups.into_iter().map(Some).collect();
-        let parts = partitioning
-            .ranges()
-            .iter()
-            .enumerate()
-            .map(|(p, r)| {
-                r.clone()
-                    .enumerate()
-                    .map(|(off, g)| {
-                        slots[g] = (p as u32, off as u32);
-                        take[g].take().expect("ranges are disjoint")
-                    })
-                    .collect()
-            })
-            .collect();
-        GroupStore { parts, slots }
-    }
-
-    fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Moves partition `p`'s groups out (for a worker shard); the slot stays
-    /// reserved and must be refilled with [`put_part`](Self::put_part)
-    /// before any group of `p` is accessed again.
-    fn take_part(&mut self, p: usize) -> Vec<Group> {
-        std::mem::take(&mut self.parts[p])
-    }
-
-    fn put_part(&mut self, p: usize, groups: Vec<Group>) {
-        debug_assert!(self.parts[p].is_empty(), "partition {p} already present");
-        self.parts[p] = groups;
-    }
-}
-
-impl std::ops::Index<usize> for GroupStore {
-    type Output = Group;
-    fn index(&self, g: usize) -> &Group {
-        let (p, off) = self.slots[g];
-        &self.parts[p as usize][off as usize]
-    }
-}
-
-impl std::ops::IndexMut<usize> for GroupStore {
-    fn index_mut(&mut self, g: usize) -> &mut Group {
-        let (p, off) = self.slots[g];
-        &mut self.parts[p as usize][off as usize]
     }
 }
 
@@ -1162,10 +930,9 @@ struct AcWorld<'t, S: TelemetrySink> {
     noc: MeshNoc,
     dispatch_op: SimDuration,
     intra_transfer: Transfer,
-    groups: GroupStore,
-    /// Cold per-group state, parallel to `groups` by id. Only serial
-    /// control-plane code (ticks, messages, faults, dormancy) touches it,
-    /// so it never moves into parallel shards.
+    groups: Vec<Group>,
+    /// Cold per-group state, parallel to `groups` by id. Only control-plane
+    /// code (ticks, messages, faults, dormancy) touches it.
     cold: Vec<GroupCold>,
     /// Arena for protocol-message payloads: `Ev::Msg` carries an 8-byte
     /// handle into this slab instead of an inline [`Message`] (whose
@@ -1320,280 +1087,9 @@ fn send_msg_via(
     }
 }
 
-/// Where a quiet handler's externally-visible effects land.
-///
-/// Quiet events — the healthy intra-group request lifecycle (`Enqueue`,
-/// `Deliver`, `WorkerDone`, `MgrOpDone`) — mutate only their own group plus
-/// three global channels: follow-up event pushes, telemetry span points,
-/// and completion records. Routing those through this trait lets one
-/// handler body serve both the serial loop ([`SerialSink`] applies effects
-/// directly) and a worker shard of the parallel engine (`par::ShardSink`
-/// records them for an order-exact replay on the main thread).
-trait QuietSink {
-    fn push(&mut self, at: SimTime, ev: Ev);
-    fn span(&mut self, track: u32, kind: u16, loc: u32, at: SimTime);
-    fn complete(&mut self, c: Completion);
-}
-
-/// The serial loop's [`QuietSink`]: effects go straight to the event queue,
-/// telemetry sink and result accumulator.
-struct SerialSink<'a, S: TelemetrySink> {
-    q: &'a mut EventQueue<Ev>,
-    tel: &'a mut S,
-    result: &'a mut SystemResult,
-    completed: &'a mut usize,
-}
-
-impl<S: TelemetrySink> QuietSink for SerialSink<'_, S> {
-    fn push(&mut self, at: SimTime, ev: Ev) {
-        self.q.push(at, ev);
-    }
-    fn span(&mut self, track: u32, kind: u16, loc: u32, at: SimTime) {
-        self.tel.span_point(track, kind, loc, at);
-    }
-    fn complete(&mut self, c: Completion) {
-        self.result.record(c);
-        *self.completed += 1;
-    }
-}
-
-/// Read-only context a quiet handler needs, detached from [`AcWorld`] so
-/// the same code can run inside a worker shard that owns nothing but its
-/// partition's groups. The fault-layer inputs are per-group slices; the
-/// empty slices / `false` flags are the healthy fast path, and the only one
-/// shards ever see (faulted runs stay serial).
-struct QuietEnv<'a> {
-    trace: &'a Trace,
-    cfg: &'a AcConfig,
-    intra_transfer: &'a Transfer,
-    dispatch_op: SimDuration,
-    /// Liveness epochs of this group's workers; empty (all zero) on healthy
-    /// runs. (Dead workers need no flag here: their `occ` slot sits at
-    /// `u32::MAX`, which excludes them from dispatch.)
-    epochs: &'a [u32],
-    /// True when this group's manager has failed.
-    mgr_dead: bool,
-    /// True when straggler inflation must be consulted (non-empty plan).
-    inflate: bool,
-}
-
-impl QuietEnv<'_> {
-    /// Total on-core cost for trace request `idx`.
-    fn total_cost(&self, idx: usize) -> SimDuration {
-        let req = &self.trace.requests()[idx];
-        self.cfg.stack.rx(req.size_bytes) + req.service + self.cfg.stack.tx(64)
-    }
-
-    /// Core id of worker `w` in group `g` (the id completions report).
-    fn worker_core(&self, g: usize, w: usize) -> u32 {
-        (g * self.cfg.group_size + 1 + w) as u32
-    }
-
-    fn epoch_of(&self, w: usize) -> u32 {
-        self.epochs.get(w).copied().unwrap_or(0)
-    }
-
-    /// Healthy core of [`Ev::Enqueue`]: the request lands in its group's
-    /// NetRX queue (takeover redirection and dormancy wake, both serial-only
-    /// concerns, happen in the caller).
-    fn enqueue(
-        &self,
-        g: usize,
-        idx: usize,
-        now: SimTime,
-        grp: &mut Group,
-        sink: &mut impl QuietSink,
-    ) {
-        let arrival = self.trace.requests()[idx].arrival;
-        sink.span(idx as u32, span::ARRIVAL, g as u32, arrival);
-        sink.span(idx as u32, span::NETRX_ENQUEUE, g as u32, now);
-        let qr = QueuedRequest::new(idx, self.total_cost(idx), now);
-        grp.push_netrx(qr);
-        grp.arrivals_since_tick += 1;
-        self.try_dispatch(g, now, grp, sink);
-    }
-
-    /// Intra-group dispatch: hardware (ACint) pushes immediately; ACrss
-    /// serializes 70-cycle manager operations carrying up to
-    /// `dispatch_batch` descriptors.
-    fn try_dispatch(&self, g: usize, now: SimTime, grp: &mut Group, sink: &mut impl QuietSink) {
-        if self.mgr_dead {
-            // Nobody left to pop NetRX; the takeover heir adopts the queue.
-            return;
-        }
-        match self.cfg.attachment {
-            Attachment::Integrated => loop {
-                if grp.netrx.is_empty() {
-                    return;
-                }
-                let Some(w) = grp.free_worker(self.cfg.local_bound as u32) else {
-                    return;
-                };
-                let qr = grp.netrx.pop_front().expect("checked non-empty");
-                grp.occ[w] += 1;
-                grp.busy += 1;
-                let core = self.worker_core(g, w);
-                sink.span(qr.idx as u32, span::DISPATCH, core, now);
-                let req = &self.trace.requests()[qr.idx];
-                let xfer = self.intra_transfer.latency(req.size_bytes);
-                let h = grp.slab.insert(qr);
-                sink.push(now + xfer, Ev::Deliver(g as u32, w as u32, h));
-            },
-            Attachment::RssPcie => {
-                if grp.netrx.is_empty() {
-                    return;
-                }
-                if grp.mgr_busy_until > now {
-                    if !grp.dispatch_pending {
-                        grp.dispatch_pending = true;
-                        let at = grp.mgr_busy_until;
-                        sink.push(at, Ev::MgrOpDone(g as u32));
-                    }
-                    return;
-                }
-                // One serialized op moves up to dispatch_batch descriptors.
-                let mut moved = 0;
-                let done_at = now + self.dispatch_op;
-                while moved < self.cfg.dispatch_batch {
-                    if grp.netrx.is_empty() {
-                        break;
-                    }
-                    let Some(w) = grp.free_worker(self.cfg.local_bound as u32) else {
-                        break;
-                    };
-                    let qr = grp.netrx.pop_front().expect("checked non-empty");
-                    grp.occ[w] += 1;
-                    grp.busy += 1;
-                    let core = self.worker_core(g, w);
-                    sink.span(qr.idx as u32, span::DISPATCH, core, now);
-                    let h = grp.slab.insert(qr);
-                    sink.push(done_at, Ev::Deliver(g as u32, w as u32, h));
-                    moved += 1;
-                }
-                if moved > 0 {
-                    grp.mgr_busy_until = done_at;
-                    grp.dispatch_pending = true;
-                    sink.push(done_at, Ev::MgrOpDone(g as u32));
-                }
-            }
-        }
-    }
-
-    /// Healthy core of [`Ev::Deliver`] (the dead-worker bounce, a
-    /// cross-group concern, happens in the caller). The handle resolves in
-    /// the group's request arena; occupancy is untouched — the request
-    /// moves from in-transit to running/waiting within the same worker.
-    fn deliver(
-        &self,
-        g: usize,
-        w: usize,
-        h: Handle,
-        now: SimTime,
-        grp: &mut Group,
-        sink: &mut impl QuietSink,
-    ) {
-        let qr = grp.slab.take(h);
-        let core = self.worker_core(g, w);
-        sink.span(qr.idx as u32, span::WORKER_ARRIVE, core, now);
-        if grp.running[w].is_none() && grp.waiting[w].is_empty() {
-            self.start_worker(g, w, qr, now, grp, sink);
-        } else {
-            grp.waiting[w].push_back(qr);
-        }
-    }
-
-    fn start_worker(
-        &self,
-        g: usize,
-        w: usize,
-        qr: QueuedRequest,
-        now: SimTime,
-        grp: &mut Group,
-        sink: &mut impl QuietSink,
-    ) {
-        debug_assert!(grp.running[w].is_none());
-        let core = self.worker_core(g, w);
-        sink.span(qr.idx as u32, span::SERVICE_START, core, now);
-        // Straggler intervals inflate the wall time of service *started*
-        // inside them. `inflate` returns the input bit-for-bit when no
-        // straggler covers this core/instant, and the whole branch is
-        // absent on healthy runs.
-        let wall = if self.inflate {
-            self.cfg.faults.inflate(core as usize, now, qr.remaining)
-        } else {
-            qr.remaining
-        };
-        grp.running[w] = Some(qr);
-        sink.push(
-            now + wall,
-            Ev::WorkerDone(g as u32, w as u32, self.epoch_of(w)),
-        );
-    }
-
-    /// Healthy core of [`Ev::WorkerDone`] (the stale-epoch check happens in
-    /// the caller).
-    fn worker_done(
-        &self,
-        g: usize,
-        w: usize,
-        now: SimTime,
-        grp: &mut Group,
-        sink: &mut impl QuietSink,
-    ) {
-        let qr = grp.running[w].take().expect("done on idle worker");
-        grp.occ[w] -= 1;
-        grp.busy -= 1;
-        let core = self.worker_core(g, w);
-        sink.span(qr.idx as u32, span::COMPLETE, core, now);
-        let req = &self.trace.requests()[qr.idx];
-        sink.complete(Completion {
-            id: req.id,
-            arrival: req.arrival,
-            finish: now,
-            core: core as usize,
-            migrated: qr.migrated,
-        });
-        if let Some(next) = grp.waiting[w].pop_front() {
-            self.start_worker(g, w, next, now, grp, sink);
-        }
-        self.try_dispatch(g, now, grp, sink);
-    }
-
-    fn mgr_op_done(&self, g: usize, now: SimTime, grp: &mut Group, sink: &mut impl QuietSink) {
-        grp.dispatch_pending = false;
-        self.try_dispatch(g, now, grp, sink);
-    }
-}
-
-/// Splits an `AcWorld` into the disjoint borrows a quiet handler needs: a
-/// [`QuietEnv`] for group `$g`, the group itself, and a [`SerialSink`] over
-/// `$q` plus the world's telemetry/result fields. A macro rather than a
-/// method so the field borrows stay visibly disjoint to the borrow checker.
-macro_rules! quiet_parts {
-    ($self:expr, $g:expr, $q:expr) => {{
-        let (epochs, mgr_dead, inflate): (&[u32], bool, bool) = match &$self.faults {
-            Some(f) => (&f.epoch[$g], f.mgr_dead[$g], true),
-            None => (&[], false, false),
-        };
-        (
-            QuietEnv {
-                trace: $self.trace,
-                cfg: $self.cfg,
-                intra_transfer: &$self.intra_transfer,
-                dispatch_op: $self.dispatch_op,
-                epochs,
-                mgr_dead,
-                inflate,
-            },
-            &mut $self.groups[$g],
-            SerialSink {
-                q: $q,
-                tel: &mut *$self.tel,
-                result: &mut $self.result,
-                completed: &mut $self.completed,
-            },
-        )
-    }};
+/// Core id of worker `w` in group `g` (the id completions report).
+fn worker_core(cfg: &AcConfig, g: usize, w: usize) -> u32 {
+    (g * cfg.group_size + 1 + w) as u32
 }
 
 impl<S: TelemetrySink> AcWorld<'_, S> {
@@ -1952,12 +1448,158 @@ impl<S: TelemetrySink> AcWorld<'_, S> {
         }
     }
 
-    /// Intra-group dispatch (see [`QuietEnv::try_dispatch`] for the body);
-    /// this wrapper serves the serial-only call sites (fault recovery,
-    /// message handling).
+    /// [`Ev::Enqueue`] after takeover redirection and dormancy wake: the
+    /// request lands in its group's NetRX queue.
+    fn enqueue(&mut self, g: usize, idx: usize, now: SimTime, q: &mut EventQueue<Ev>) {
+        let arrival = self.trace.requests()[idx].arrival;
+        self.tel
+            .span_point(idx as u32, span::ARRIVAL, g as u32, arrival);
+        self.tel
+            .span_point(idx as u32, span::NETRX_ENQUEUE, g as u32, now);
+        let qr = QueuedRequest::new(idx, self.total_cost(idx), now);
+        let grp = &mut self.groups[g];
+        grp.push_netrx(qr);
+        grp.arrivals_since_tick += 1;
+        self.try_dispatch(g, now, q);
+    }
+
+    /// Intra-group dispatch: hardware (ACint) pushes immediately; ACrss
+    /// serializes 70-cycle manager operations carrying up to
+    /// `dispatch_batch` descriptors.
     fn try_dispatch(&mut self, g: usize, now: SimTime, q: &mut EventQueue<Ev>) {
-        let (env, grp, mut sink) = quiet_parts!(self, g, q);
-        env.try_dispatch(g, now, grp, &mut sink);
+        if self.mgr_is_dead(g) {
+            // Nobody left to pop NetRX; the takeover heir adopts the queue.
+            return;
+        }
+        let cfg = self.cfg;
+        let grp = &mut self.groups[g];
+        match cfg.attachment {
+            Attachment::Integrated => loop {
+                if grp.netrx.is_empty() {
+                    return;
+                }
+                let Some(w) = grp.free_worker(cfg.local_bound as u32) else {
+                    return;
+                };
+                let qr = grp.netrx.pop_front().expect("checked non-empty");
+                grp.occ[w] += 1;
+                grp.busy += 1;
+                self.tel
+                    .span_point(qr.idx as u32, span::DISPATCH, worker_core(cfg, g, w), now);
+                let req = &self.trace.requests()[qr.idx];
+                let xfer = self.intra_transfer.latency(req.size_bytes);
+                let h = grp.slab.insert(qr);
+                q.push(now + xfer, Ev::Deliver(g as u32, w as u32, h));
+            },
+            Attachment::RssPcie => {
+                if grp.netrx.is_empty() {
+                    return;
+                }
+                if grp.mgr_busy_until > now {
+                    if !grp.dispatch_pending {
+                        grp.dispatch_pending = true;
+                        q.push(grp.mgr_busy_until, Ev::MgrOpDone(g as u32));
+                    }
+                    return;
+                }
+                // One serialized op moves up to dispatch_batch descriptors.
+                let mut moved = 0;
+                let done_at = now + self.dispatch_op;
+                while moved < cfg.dispatch_batch {
+                    if grp.netrx.is_empty() {
+                        break;
+                    }
+                    let Some(w) = grp.free_worker(cfg.local_bound as u32) else {
+                        break;
+                    };
+                    let qr = grp.netrx.pop_front().expect("checked non-empty");
+                    grp.occ[w] += 1;
+                    grp.busy += 1;
+                    self.tel
+                        .span_point(qr.idx as u32, span::DISPATCH, worker_core(cfg, g, w), now);
+                    let h = grp.slab.insert(qr);
+                    q.push(done_at, Ev::Deliver(g as u32, w as u32, h));
+                    moved += 1;
+                }
+                if moved > 0 {
+                    grp.mgr_busy_until = done_at;
+                    grp.dispatch_pending = true;
+                    q.push(done_at, Ev::MgrOpDone(g as u32));
+                }
+            }
+        }
+    }
+
+    /// [`Ev::Deliver`] at a live worker. The handle resolves in the group's
+    /// request arena; occupancy is untouched — the request moves from
+    /// in-transit to running/waiting within the same worker.
+    fn deliver(&mut self, g: usize, w: usize, h: Handle, now: SimTime, q: &mut EventQueue<Ev>) {
+        let grp = &mut self.groups[g];
+        let qr = grp.slab.take(h);
+        self.tel.span_point(
+            qr.idx as u32,
+            span::WORKER_ARRIVE,
+            worker_core(self.cfg, g, w),
+            now,
+        );
+        if grp.running[w].is_none() && grp.waiting[w].is_empty() {
+            self.start_worker(g, w, qr, now, q);
+        } else {
+            grp.waiting[w].push_back(qr);
+        }
+    }
+
+    fn start_worker(
+        &mut self,
+        g: usize,
+        w: usize,
+        qr: QueuedRequest,
+        now: SimTime,
+        q: &mut EventQueue<Ev>,
+    ) {
+        debug_assert!(self.groups[g].running[w].is_none());
+        let core = worker_core(self.cfg, g, w);
+        self.tel
+            .span_point(qr.idx as u32, span::SERVICE_START, core, now);
+        // Straggler intervals inflate the wall time of service *started*
+        // inside them. `inflate` returns the input bit-for-bit when no
+        // straggler covers this core/instant, and the whole branch is
+        // absent on healthy runs.
+        let wall = if self.faults.is_some() {
+            self.cfg.faults.inflate(core as usize, now, qr.remaining)
+        } else {
+            qr.remaining
+        };
+        self.groups[g].running[w] = Some(qr);
+        q.push(
+            now + wall,
+            Ev::WorkerDone(g as u32, w as u32, self.epoch_of(g, w)),
+        );
+    }
+
+    /// [`Ev::WorkerDone`] with a current epoch: record the completion, start
+    /// the worker's next local request, and refill from NetRX.
+    fn worker_done(&mut self, g: usize, w: usize, now: SimTime, q: &mut EventQueue<Ev>) {
+        let grp = &mut self.groups[g];
+        let qr = grp.running[w].take().expect("done on idle worker");
+        grp.occ[w] -= 1;
+        grp.busy -= 1;
+        let core = worker_core(self.cfg, g, w);
+        self.tel
+            .span_point(qr.idx as u32, span::COMPLETE, core, now);
+        let req = &self.trace.requests()[qr.idx];
+        self.result.record(Completion {
+            id: req.id,
+            arrival: req.arrival,
+            finish: now,
+            core: core as usize,
+            migrated: qr.migrated,
+        });
+        self.completed += 1;
+        if let Some(next) = grp.waiting[w].pop_front() {
+            self.start_worker(g, w, next, now, q);
+        }
+        self.try_dispatch(g, now, q);
     }
 
     /// Returns a recovered request to the NetRX queue currently serving
@@ -2731,8 +2373,7 @@ impl<S: TelemetrySink> World for AcWorld<'_, S> {
                 // Arrivals wake a group out of idle fast-forward; the
                 // skipped ticks are replayed before the request lands.
                 self.wake_group(g, now, None, q);
-                let (env, grp, mut sink) = quiet_parts!(self, g, q);
-                env.enqueue(g, idx, now, grp, &mut sink);
+                self.enqueue(g, idx, now, q);
             }
             Ev::Deliver(g, w, h) => {
                 let (g, w) = (g as usize, w as usize);
@@ -2755,8 +2396,7 @@ impl<S: TelemetrySink> World for AcWorld<'_, S> {
                     self.try_dispatch(tgt, now, q);
                     return;
                 }
-                let (env, grp, mut sink) = quiet_parts!(self, g, q);
-                env.deliver(g, w, h, now, grp, &mut sink);
+                self.deliver(g, w, h, now, q);
             }
             Ev::WorkerDone(g, w, epoch) => {
                 let (g, w) = (g as usize, w as usize);
@@ -2766,13 +2406,12 @@ impl<S: TelemetrySink> World for AcWorld<'_, S> {
                     return;
                 }
                 debug_assert!(!self.cold[g].dormant, "completion at a dormant group");
-                let (env, grp, mut sink) = quiet_parts!(self, g, q);
-                env.worker_done(g, w, now, grp, &mut sink);
+                self.worker_done(g, w, now, q);
             }
             Ev::MgrOpDone(g) => {
                 let g = g as usize;
-                let (env, grp, mut sink) = quiet_parts!(self, g, q);
-                env.mgr_op_done(g, now, grp, &mut sink);
+                self.groups[g].dispatch_pending = false;
+                self.try_dispatch(g, now, q);
             }
             Ev::Tick(g) => self.runtime_tick(g as usize, now, q),
             Ev::Msg { dst, seq, msg } => {

@@ -116,7 +116,7 @@ fn run_recorded_spans(trace: &Trace) -> (u64, u64) {
     let mean = SimDuration::from_ns(850);
     let mut ac = Altocumulus::new(AcConfig::ac_int(4, 16, mean));
     let before = ALLOC.allocations();
-    let mut rec = Recorder::with_capacity(Granularity::Spans, 0, 1024).with_perturb(None);
+    let mut rec = Recorder::with_capacity(Granularity::Spans, 0, 1024);
     let r = ac.run_recorded(trace, &mut rec);
     assert_eq!(r.system.completions.len(), trace.len());
     assert_eq!(rec.event_count(), r.summary.events);

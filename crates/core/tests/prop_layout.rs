@@ -3,19 +3,22 @@
 //! The SoA hot/cold split, the slab request arena, the NetRX `stage_hint`
 //! tail-run bound and the single-pass planner are pure layout/traversal
 //! changes: every observable — completions, stats, fault counters,
-//! `peak_queue`, telemetry span chains, probe JSONL — must be byte-identical
-//! however the same simulation is driven. These tests pit the two engines
-//! against each other over random configurations, because each engine
-//! stresses a different face of the layout:
+//! telemetry span chains, probe JSONL — must come out the same however the
+//! same simulation is driven. These tests check the layout two ways, each
+//! stressing a different face of it:
 //!
-//! - the **serial** engine runs the compacted tick hot path (stage-hint
-//!   staging, register-pass planner, update-log cursors) and routes every
-//!   delivery/completion through the calendar queue as a Copy event
-//!   resolving in the slab arenas (generation checks fire on any aliasing
-//!   bug);
-//! - the **parallel** engine lends the hot group plane out to shards while
-//!   the cold plane stays serial — a split-brain layout bug (state that
-//!   should be hot but stayed cold, or vice versa) desynchronizes it.
+//! - against the **event-driven control-plane oracle**
+//!   ([`ControlPlane::EventDriven`]) on the same case: the elided plane runs
+//!   the compacted tick hot path (stage-hint staging, register-pass
+//!   planner, update-log cursors), the oracle delivers every UPDATE and
+//!   tick as its own event, and both route every delivery/completion
+//!   through the calendar queue as a Copy event resolving in the slab
+//!   arenas (generation checks fire on any aliasing bug);
+//! - **traced against detailed**: a run with a recording sink must match
+//!   the telemetry-free run byte for byte, its span chains must reconstruct
+//!   the detailed run's completions, and a repeat traced run must reproduce
+//!   the span log and probe JSONL exactly — spans are emitted from inside
+//!   the hot handlers, so a layout bug that reorders or drops a point shows.
 //!
 //! The case strategy is biased toward migration-heavy meshes (few
 //! connections → RSS imbalance → long migrated tails exercising
@@ -23,10 +26,12 @@
 //! period strategy avoids multiples of 3 ns for the tie-freedom reason
 //! documented in `prop_control_plane.rs`.
 
+use altocumulus::telemetry::span;
 use altocumulus::{AcConfig, Altocumulus, Attachment, ControlPlane, Interface};
 use proptest::prelude::*;
-use simcore::telemetry::Telemetry;
+use simcore::telemetry::{SpanPoint, Telemetry};
 use simcore::time::SimDuration;
+use std::collections::HashMap;
 use workload::{PoissonProcess, ServiceDistribution, Trace, TraceBuilder};
 
 #[derive(Debug, Clone)]
@@ -94,7 +99,7 @@ fn case_strategy() -> impl Strategy<Value = LayoutCase> {
         )
 }
 
-fn build(case: &LayoutCase, mean: SimDuration) -> Altocumulus {
+fn build(case: &LayoutCase, mean: SimDuration, plane: ControlPlane) -> Altocumulus {
     let mut cfg = match case.attachment {
         Attachment::Integrated => AcConfig::ac_int(case.groups, case.group_size, mean),
         Attachment::RssPcie => AcConfig::ac_rss(case.groups, case.group_size, mean),
@@ -104,7 +109,7 @@ fn build(case: &LayoutCase, mean: SimDuration) -> Altocumulus {
     cfg.bulk = case.bulk;
     cfg.concurrency = case.concurrency;
     cfg.local_bound = case.local_bound;
-    cfg.control_plane = case.plane;
+    cfg.control_plane = plane;
     cfg.seed = case.seed;
     Altocumulus::new(cfg)
 }
@@ -128,8 +133,10 @@ fn dist_for(case: &LayoutCase) -> ServiceDistribution {
     }
 }
 
-/// Byte-level comparison of every observable, event count included.
-macro_rules! assert_observables_identical {
+/// Every simulated observable: completions, latencies, migration and fault
+/// counters, end time. Event accounting is left out — the two control
+/// planes legitimately execute different event counts.
+macro_rules! assert_results_identical {
     ($a:expr, $b:expr) => {
         prop_assert_eq!(&$a.system.completions, &$b.system.completions);
         prop_assert_eq!($a.system.end_time, $b.system.end_time);
@@ -137,46 +144,80 @@ macro_rules! assert_observables_identical {
         prop_assert_eq!(&$a.stats, &$b.stats);
         prop_assert_eq!($a.faults, $b.faults);
         prop_assert_eq!($a.summary.end_time, $b.summary.end_time);
+    };
+}
+
+/// [`assert_results_identical`] plus the event-loop accounting: for two
+/// runs on the same control plane, every byte must match.
+macro_rules! assert_observables_identical {
+    ($a:expr, $b:expr) => {
+        assert_results_identical!($a, $b);
         prop_assert_eq!($a.summary.stopped_early, $b.summary.stopped_early);
         prop_assert_eq!($a.summary.peak_queue, $b.summary.peak_queue);
         prop_assert_eq!($a.summary.events, $b.summary.events);
+        prop_assert_eq!($a.rng, $b.rng);
     };
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
-    /// Both engines over the compacted layout agree byte-for-byte on
-    /// migration-heavy random configurations.
+    /// The compacted layout under the elided control plane agrees with the
+    /// event-driven oracle on migration-heavy random configurations, and a
+    /// repeat run reproduces it byte for byte.
     #[test]
     fn engines_agree_on_compacted_layout(case in case_strategy()) {
         let dist = dist_for(&case);
         let trace = trace_for(&case, &dist, 1200);
-        let serial = build(&case, dist.mean()).run_detailed(&trace);
-        let par = build(&case, dist.mean()).run_detailed_par(&trace, 2);
-        assert_observables_identical!(par, serial);
+        let elided = build(&case, dist.mean(), ControlPlane::Elided).run_detailed(&trace);
+        let oracle = build(&case, dist.mean(), ControlPlane::EventDriven).run_detailed(&trace);
+        assert_results_identical!(elided, oracle);
+        let again = build(&case, dist.mean(), ControlPlane::Elided).run_detailed(&trace);
+        assert_observables_identical!(again, elided);
     }
 
-    /// Traced runs: span chains and probe JSONL are part of the byte
-    /// contract — the hot/cold split must not reorder or drop a single
-    /// telemetry point (spans are emitted from inside the hot handlers).
+    /// Traced runs: the recording sink perturbs nothing, every request's
+    /// span chain ends at the detailed run's completion, and span log and
+    /// probe JSONL reproduce exactly on a repeat traced run.
     #[test]
     fn telemetry_identical_on_compacted_layout(case in case_strategy()) {
         let dist = dist_for(&case);
         let trace = trace_for(&case, &dist, 800);
-        let mut tel_serial = Telemetry::new();
-        let mut tel_par = Telemetry::new();
-        let serial = build(&case, dist.mean()).run_traced(&trace, &mut tel_serial);
-        let par = build(&case, dist.mean()).run_traced_par(&trace, &mut tel_par, 2);
-        assert_observables_identical!(par, serial);
-        prop_assert_eq!(tel_par.spans.points(), tel_serial.spans.points());
-        prop_assert_eq!(tel_par.probes.to_jsonl(), tel_serial.probes.to_jsonl());
+        let detailed = build(&case, dist.mean(), case.plane).run_detailed(&trace);
+        let mut tel = Telemetry::new();
+        let traced = build(&case, dist.mean(), case.plane).run_traced(&trace, &mut tel);
+        assert_observables_identical!(traced, detailed);
+
+        // Span chains: one ARRIVAL per request, one COMPLETE per completion,
+        // and each chain closes on its completion's instant and core.
+        let points = tel.spans.points();
+        let count = |k: u16| points.iter().filter(|p| p.kind == k).count();
+        prop_assert_eq!(count(span::ARRIVAL), trace.len());
+        prop_assert_eq!(count(span::COMPLETE), detailed.system.completions.len());
+        let completion_of: HashMap<_, _> =
+            detailed.system.completions.iter().map(|c| (c.id, c)).collect();
+        let mut last: HashMap<u32, SpanPoint> = HashMap::new();
+        for p in tel.spans.sorted_by_track() {
+            last.insert(p.track, p);
+        }
+        for (track, end) in &last {
+            let c = completion_of[&trace.requests()[*track as usize].id];
+            prop_assert_eq!(end.kind, span::COMPLETE);
+            prop_assert_eq!(end.at, c.finish);
+            prop_assert_eq!(end.loc as usize, c.core);
+        }
+
+        let mut tel_again = Telemetry::new();
+        let again = build(&case, dist.mean(), case.plane).run_traced(&trace, &mut tel_again);
+        assert_observables_identical!(again, traced);
+        prop_assert_eq!(tel_again.spans.points(), tel.spans.points());
+        prop_assert_eq!(tel_again.probes.to_jsonl(), tel.probes.to_jsonl());
     }
 }
 
 /// Deterministic pin: a mesh with heavy RSS imbalance really does exercise
 /// the migrated-tail machinery (the `stage_hint` fast path is not allowed
-/// to be dead code in this suite), and the engines still agree on it.
+/// to be dead code in this suite), and the event-driven oracle agrees on it.
 #[test]
 fn migration_heavy_mesh_exercises_stage_hint() {
     let mean = SimDuration::from_ns(850);
@@ -188,15 +229,16 @@ fn migration_heavy_mesh_exercises_stage_hint() {
         .seed(11)
         .build();
     let cfg = AcConfig::ac_int(4, 8, mean);
-    let serial = Altocumulus::new(cfg.clone()).run_detailed(&trace);
+    let elided = Altocumulus::new(cfg.clone()).run_detailed(&trace);
     assert!(
-        serial.stats.migrated_requests > 100,
+        elided.stats.migrated_requests > 100,
         "imbalanced mesh should migrate heavily, got {}",
-        serial.stats.migrated_requests
+        elided.stats.migrated_requests
     );
-    let par = Altocumulus::new(cfg).run_detailed_par(&trace, 2);
-    assert_eq!(serial.system.completions, par.system.completions);
-    assert_eq!(serial.stats, par.stats);
-    assert_eq!(serial.summary.peak_queue, par.summary.peak_queue);
-    assert_eq!(serial.summary.events, par.summary.events);
+    let mut oracle_cfg = cfg;
+    oracle_cfg.control_plane = ControlPlane::EventDriven;
+    let oracle = Altocumulus::new(oracle_cfg).run_detailed(&trace);
+    assert_eq!(elided.system.completions, oracle.system.completions);
+    assert_eq!(elided.stats, oracle.stats);
+    assert_eq!(elided.system.end_time, oracle.system.end_time);
 }

@@ -1,19 +1,17 @@
 //! Property tests for the record/replay trace contract.
 //!
-//! The recorded event stream is an *engine-independent* run identity: on
-//! any configuration, the `TRACE/1.0` artifact produced with a recording
-//! sink attached must be identical — event for event, at exact `(time,
-//! seq)` rank — whether the run executed on the serial engine or the
-//! quiet-window parallel engine at any thread count. A summary-granularity recording (the golden-trace format)
-//! must likewise verify digest-for-digest against a full re-recording,
-//! which is exactly what the `replay` binary does for a golden gate.
+//! The recorded event stream is a *granularity-independent* run identity:
+//! on any configuration, two full-granularity `TRACE/1.0` recordings of the
+//! same run must be identical — event for event, at exact `(time, seq)`
+//! rank — and a summary-granularity recording (the golden-trace format)
+//! must verify digest-for-digest against a full re-recording, which is
+//! exactly what the `replay` binary does for a golden gate.
 //!
 //! The corruption properties pin the *detector*: flipping one payload,
 //! dropping one event, or perturbing the recording by a single picosecond
-//! (the `AC_TRACE_PERTURB` hook, exercised here programmatically via
-//! [`Recorder::with_perturb`] to stay env-race-free under parallel test
-//! threads) must be rejected at exactly the first divergent index, with a
-//! diff that names the divergent `(time, seq)`.
+//! (the [`Recorder::with_perturb`] hook, which `AC_TRACE_PERTURB` drives in
+//! the figure binaries) must be rejected at exactly the first divergent
+//! index, with a diff that names the divergent `(time, seq)`.
 
 use altocumulus::{event_kind_names, AcConfig, Altocumulus};
 use proptest::prelude::*;
@@ -22,7 +20,6 @@ use simcore::trace::{
     first_divergence, parse_artifact, render_divergence, validate_artifact, write_artifact_meta,
     write_run_section, Divergence, Granularity, ParsedRun, Recorder, RunMeta, RunTotals,
 };
-use simcore::Partitioning;
 use workload::{PoissonProcess, ServiceDistribution, Trace, TraceBuilder};
 
 #[derive(Debug, Clone)]
@@ -37,7 +34,7 @@ struct Case {
 
 fn case_strategy() -> impl Strategy<Value = Case> {
     (
-        2usize..6, // groups (>= 2 so the parallel engine engages)
+        1usize..6, // groups
         2usize..7, // group_size
         0.05f64..0.9,
         1u32..32,
@@ -72,27 +69,17 @@ fn trace_for(case: &Case, requests: usize) -> Trace {
         .build()
 }
 
-/// Records one run of `case` on the engine selected by `threads` and
-/// parses the section back: `threads == 1` degenerates the partitioning, so
-/// the serial engine runs; `threads >= 2` engages the quiet-window parallel
-/// engine. `config_fp`/`trace_fp` are pinned to 0 — this suite compares
-/// *event streams* across engines, not provenance (which has its own unit
-/// tests).
-fn record(
-    case: &Case,
-    trace: &Trace,
-    threads: usize,
-    perturb: Option<u64>,
-    granularity: Granularity,
-) -> ParsedRun {
+/// Records one run of `case` at `granularity` and parses the section back.
+/// `config_fp`/`trace_fp` are pinned to 0 — this suite compares *event
+/// streams*, not provenance (which has its own unit tests).
+fn record(case: &Case, trace: &Trace, perturb: Option<u64>, granularity: Granularity) -> ParsedRun {
     let mean = SimDuration::from_ns(850);
     let mut cfg = AcConfig::ac_int(case.groups, case.group_size, mean);
     cfg.seed = case.seed;
     let seed = cfg.seed;
     let mut sys = Altocumulus::new(cfg);
     let mut rec = Recorder::new(granularity).with_perturb(perturb);
-    let parts = Partitioning::even(case.groups, threads);
-    let res = sys.run_recorded_partitioned(trace, &mut rec, parts);
+    let res = sys.run_recorded(trace, &mut rec);
     let meta = RunMeta {
         label: "case".into(),
         engine: res.engine,
@@ -137,26 +124,28 @@ fn diff_of(expected: &ParsedRun, actual: &ParsedRun) -> String {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Record -> replay round-trips divergence-free across both engines
-    /// and `PAR_THREADS` in {1, 4}: the full event streams of the serial
-    /// and the parallel engine are identical, and a summary-granularity
-    /// recording (the golden format) verifies against a full re-record.
+    /// Record -> replay round-trips divergence-free across granularities:
+    /// two full recordings of the same run are identical, and a
+    /// summary-granularity recording (the golden format) verifies against a
+    /// full re-record, as does a spans-granularity one.
     #[test]
-    fn round_trip_is_engine_invariant(case in case_strategy()) {
+    fn round_trip_is_granularity_invariant(case in case_strategy()) {
         let trace = trace_for(&case, 2_000);
-        let serial = record(&case, &trace, 1, None, Granularity::Full);
-        let par = record(&case, &trace, 4, None, Granularity::Full);
-        prop_assert_eq!(&serial.engine, "serial_event_driven");
-        prop_assert_eq!(&par.engine, "parallel");
-        prop_assert!(serial.footer.events > 0);
+        let full = record(&case, &trace, None, Granularity::Full);
+        let again = record(&case, &trace, None, Granularity::Full);
+        prop_assert_eq!(&full.engine, "serial_event_driven");
+        prop_assert!(full.footer.events > 0);
 
-        let d = diff_of(&serial, &par);
-        prop_assert!(d.is_empty(), "serial vs parallel diverged:\n{}", d);
+        let d = diff_of(&full, &again);
+        prop_assert!(d.is_empty(), "repeat full recording diverged:\n{}", d);
 
-        // Golden flow: summary recording vs full re-record on another engine.
-        let summary = record(&case, &trace, 1, None, Granularity::Summary);
-        let d = diff_of(&summary, &par);
+        // Golden flow: summary recording vs a full re-record.
+        let summary = record(&case, &trace, None, Granularity::Summary);
+        let d = diff_of(&summary, &full);
         prop_assert!(d.is_empty(), "summary vs full replay diverged:\n{}", d);
+        let spans = record(&case, &trace, None, Granularity::Spans);
+        let d = diff_of(&spans, &full);
+        prop_assert!(d.is_empty(), "spans vs full replay diverged:\n{}", d);
     }
 
     /// A corrupted artifact is rejected at exactly the corrupted index:
@@ -168,7 +157,7 @@ proptest! {
         pick in 0u64..u64::MAX,
     ) {
         let trace = trace_for(&case, 1_000);
-        let honest = record(&case, &trace, 1, None, Granularity::Full);
+        let honest = record(&case, &trace, None, Granularity::Full);
         prop_assume!(!honest.events.is_empty());
         let i = (pick % honest.events.len() as u64) as usize;
 
@@ -189,9 +178,9 @@ proptest! {
 }
 
 /// The seeded-mutation acceptance demo: a recording perturbed via the
-/// `AC_TRACE_PERTURB` hook (programmatic form) replays with a divergence at
-/// exactly the perturbed index, and the rendered diff names the divergent
-/// `(time, seq)` on its `>>` marker line.
+/// [`Recorder::with_perturb`] hook replays with a divergence at exactly the
+/// perturbed index, and the rendered diff names the divergent `(time, seq)`
+/// on its `>>` marker line.
 #[test]
 fn perturbed_recording_is_caught_with_exact_location() {
     let case = Case {
@@ -203,9 +192,9 @@ fn perturbed_recording_is_caught_with_exact_location() {
         fixed_service: false,
     };
     let trace = trace_for(&case, 2_000);
-    let honest = record(&case, &trace, 1, None, Granularity::Full);
+    let honest = record(&case, &trace, None, Granularity::Full);
     let k = honest.events.len() / 3;
-    let perturbed = record(&case, &trace, 1, Some(k as u64), Granularity::Full);
+    let perturbed = record(&case, &trace, Some(k as u64), Granularity::Full);
 
     let div = first_divergence(&perturbed, &honest).expect("perturbation must be caught");
     let Divergence::Event {

@@ -8,7 +8,6 @@
 //! back-to-back send contention at very aggressive migration periods.
 
 use simcore::time::{SimDuration, SimTime};
-use std::ops::Range;
 
 /// Coordinates of a tile in the mesh.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -121,44 +120,6 @@ impl MeshNoc {
         let hops = self.hops(src, dst);
         let flits = bytes.div_ceil(self.flit_bytes).max(1);
         self.per_hop * hops as u64 + self.per_flit * flits as u64
-    }
-
-    /// Conservative lookahead for a partitioned run: the minimum end-to-end
-    /// latency of a `bytes`-byte message between the **manager tiles**
-    /// (tile `g * group_size`) of any two groups in *different* partitions.
-    ///
-    /// Any cross-partition interaction in the model is carried by a NoC
-    /// message between manager tiles, so no shard can affect another within
-    /// this window — the parallel engine may run each partition
-    /// independently for `L` of virtual time past a synchronization point.
-    /// The bound includes head-flit serialization (`latency`, not raw
-    /// hop count), exactly the earliest instant a message injected at the
-    /// barrier could land remotely.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any group's manager tile is out of mesh range, or if
-    /// `parts` has fewer than two non-empty partitions (a serial run has no
-    /// cross-partition latency to bound).
-    pub fn min_cross_latency(
-        &self,
-        parts: &[Range<usize>],
-        group_size: usize,
-        bytes: u32,
-    ) -> SimDuration {
-        assert!(group_size > 0, "group_size must be positive");
-        let mut best: Option<SimDuration> = None;
-        for (i, a) in parts.iter().enumerate() {
-            for b in parts.iter().skip(i + 1) {
-                for ga in a.clone() {
-                    for gb in b.clone() {
-                        let l = self.latency(ga * group_size, gb * group_size, bytes);
-                        best = Some(best.map_or(l, |c| c.min(l)));
-                    }
-                }
-            }
-        }
-        best.expect("min_cross_latency needs at least two non-empty partitions")
     }
 
     /// Latency of a broadcast from `src` to every other tile (the UPDATE
@@ -308,39 +269,5 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn coord_bounds_checked() {
         MeshNoc::new(2, 2).coord(4);
-    }
-
-    #[test]
-    fn min_cross_latency_is_nearest_manager_pair() {
-        // 4x4 mesh, 4 groups of 4: managers at tiles 0, 4, 8, 12 — a single
-        // column, one hop apart. Any two adjacent groups in different
-        // partitions give hops=1.
-        let noc = MeshNoc::new(4, 4);
-        let l = noc.min_cross_latency(&[0..2, 2..4], 4, 14);
-        // Tile 4 (group 1) -> tile 8 (group 2): 1 hop + 1 flit.
-        assert_eq!(l, SimDuration::from_ns(3 + 3));
-        // Splitting groups {0,2} vs {1,3} gives the same manager spacing.
-        let perm = noc.min_cross_latency(&[2..4, 0..2], 4, 14);
-        assert_eq!(perm, l);
-    }
-
-    #[test]
-    fn min_cross_latency_grows_with_partition_distance() {
-        // 16 groups of 1 on a 4x4 mesh: managers are every tile. Rows 0-1 vs
-        // rows 2-3 still touch (1 hop); single corner groups are far apart.
-        let noc = MeshNoc::new(4, 4);
-        let near = noc.min_cross_latency(&[0..8, 8..16], 1, 14);
-        assert_eq!(near, SimDuration::from_ns(6));
-        let far = noc.min_cross_latency(&[0..1, 15..16], 1, 14);
-        assert_eq!(far, SimDuration::from_ns(6 * 3 + 3));
-        assert!(far > near);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least two non-empty partitions")]
-    // A one-element array of ranges is exactly the invalid input under test.
-    #[allow(clippy::single_range_in_vec_init)]
-    fn min_cross_latency_rejects_single_partition() {
-        MeshNoc::new(4, 4).min_cross_latency(&[0..4], 4, 14);
     }
 }

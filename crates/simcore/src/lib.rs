@@ -15,9 +15,9 @@
 //! - [`slab`]: free-list arena with generation-checked handles for
 //!   keeping event payloads out of the event queue.
 //! - [`alloc`]: a counting global allocator for allocation-budget tests.
-//! - [`parallel`]: deterministic thread fan-out for parameter sweeps.
-//! - [`parengine`]: partitioning and worker-pool plumbing for the
-//!   parallel-in-one-run engine.
+//! - [`parallel`]: deterministic thread fan-out over independent runs
+//!   (sweep cells, rack servers) — the only parallelism in the workspace;
+//!   a single simulation always runs on one thread.
 //! - [`report`]: aligned plain-text tables for experiment output.
 //! - [`telemetry`]: request-lifecycle spans, time-series probes and
 //!   Perfetto/JSONL export behind a zero-cost [`telemetry::TelemetrySink`].
@@ -80,7 +80,6 @@ pub mod event;
 pub mod faults;
 pub mod metrics;
 pub mod parallel;
-pub mod parengine;
 pub mod report;
 pub mod rng;
 pub mod slab;
@@ -95,7 +94,6 @@ pub use event::{
 pub use faults::{FaultPlan, NocDecision, NocFaultRng};
 pub use metrics::{LatencyHistogram, LatencySummary, SloTracker};
 pub use parallel::{default_threads, parallel_map, seeded_map};
-pub use parengine::{par_threads, Partitioning};
 pub use stats::{batch_means_ci, MeanCi};
 pub use telemetry::{NullSink, Telemetry, TelemetrySink};
 pub use time::{SimDuration, SimTime};

@@ -1,8 +1,8 @@
 //! Versioned record/replay run artifacts — the `TRACE/1.0` contract.
 //!
 //! Every determinism guarantee in this workspace (the elided/event-driven
-//! oracles, the quiet-window parallel engine, the fault layer's empty-plan
-//! byte identity) used to be enforced by sha256 digests of figure stdout,
+//! control-plane oracle, the fault layer's empty-plan byte identity) used
+//! to be enforced by sha256 digests of figure stdout,
 //! which can only say *something* changed *somewhere*. This module turns a
 //! run into a first-class, versioned artifact that a replay can diff
 //! against event by event, so a regression reports the exact first
@@ -27,16 +27,15 @@
 //! ```
 //!
 //! The header pins the run's full identity: seed, config fingerprint,
-//! workload-trace fingerprint, the engine [`choose_engine`] resolved, and
-//! the recording granularity. The body is ordered by the executed
+//! workload-trace fingerprint, the engine label, and the recording
+//! granularity. The body is ordered by the executed
 //! `(time, seq)` rank — the event queue's total order — and the rolling
 //! FNV-1a digest (checkpointed every `checkpoint_every` events) is
 //! computed at *every* granularity, so even a compact summary artifact can
 //! localize a divergence to one checkpoint block.
 //!
-//! All three engines execute the identical `(time, seq, event)` sequence,
-//! so a recorded artifact is engine-independent: the engine field is
-//! provenance, not part of the comparison.
+//! The engine field is provenance, not part of the comparison: a replay
+//! compares the executed `(time, seq, event)` sequence itself.
 //!
 //! # Granularities
 //!
@@ -59,12 +58,6 @@ pub const TRACE_VERSION: &str = "TRACE/1.0";
 
 /// Default rolling-digest checkpoint interval, in events.
 pub const DEFAULT_CHECKPOINT_EVERY: u64 = 512;
-
-/// Environment knob for divergence-injection tests: when set to an event
-/// index, the [`Recorder`] perturbs that event's recorded time by +1 ps —
-/// simulating a buggy engine so tests can assert `replay` catches the
-/// mutation at the exact `(time, seq)`. Never set outside tests.
-pub const PERTURB_ENV: &str = "AC_TRACE_PERTURB";
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -194,7 +187,6 @@ impl Recorder {
     /// Panics if `checkpoint_every` is zero.
     pub fn with_checkpoint_every(granularity: Granularity, checkpoint_every: u64) -> Self {
         assert!(checkpoint_every > 0, "checkpoint interval must be positive");
-        let perturb = std::env::var(PERTURB_ENV).ok().and_then(|v| v.parse().ok());
         Recorder {
             granularity,
             checkpoint_every,
@@ -203,13 +195,14 @@ impl Recorder {
             count: 0,
             digest: FNV_OFFSET,
             checkpoints: Vec::new(),
-            perturb,
+            perturb: None,
         }
     }
 
-    /// Sets the divergence-injection hook explicitly (the programmatic
-    /// equivalent of [`PERTURB_ENV`], immune to env races in parallel
-    /// tests): event `idx`'s recorded time is bumped by +1 ps.
+    /// Sets the divergence-injection hook: event `idx`'s recorded time is
+    /// bumped by +1 ps, simulating a buggy engine so tests can assert that
+    /// replay catches the mutation at the exact `(time, seq)`. Off (`None`)
+    /// by default.
     pub fn with_perturb(mut self, idx: Option<u64>) -> Self {
         self.perturb = idx;
         self

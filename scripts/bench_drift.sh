@@ -6,12 +6,6 @@
 # noisy for a hard perf gate; the committed baseline is refreshed
 # deliberately via ./bench_hotpath.sh.
 #
-# PAR_THREADS rows are compared only when both the baseline row and the
-# fresh run were measured with real hardware parallelism (hw_threads > 1):
-# on a single hardware thread the quiet-window engine rows measure engine
-# overhead, not speedup, and drifting overhead against a parallel baseline
-# (or vice versa) is noise by construction.
-#
 # Usage: ./scripts/bench_drift.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -31,20 +25,12 @@ KEYS = [
     "altocumulus_int_4x16",
     "altocumulus_int_16x16_elided",
     "altocumulus_int_16x16_exp",
-    "altocumulus_int_16x16_elided_par4",
     "altocumulus_int_32x32_elided",
-    "altocumulus_int_32x32_elided_par4",
     "altocumulus_int_16x16_event_driven",
     "rack_4x16_ac",
     "nebula_jbsq",
 ]
 THRESHOLD = 1.25
-
-
-def hw_threads(doc, row):
-    # Per-row hw_threads (preferred) with the run-global value as fallback
-    # for baselines written before rows carried it.
-    return row.get("hw_threads", doc.get("hw_threads", 1))
 
 
 rows, drifted = [], []
@@ -57,11 +43,6 @@ for k in KEYS:
         rows.append(f"| {k} | - | - | missing from {where} |")
         drifted.append(f"{k}: missing from {where} (refresh BENCH_hotpath.json)")
         continue
-    if "_par" in k:
-        hw = min(hw_threads(base, base[k]), hw_threads(fresh, fresh[k]))
-        if hw <= 1:
-            rows.append(f"| {k} | - | - | skipped (hw_threads={hw}) |")
-            continue
     b, f = base[k]["wall_ms"], fresh[k]["wall_ms"]
     ratio = f / b
     mark = " **drift**" if ratio > THRESHOLD else ""
