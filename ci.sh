@@ -32,6 +32,14 @@ echo "==> cargo bench --no-run"
 # harness so bench-only code can never rot out of sync with the library.
 cargo bench --workspace --no-run
 
+echo "==> altobench build + unit tests (against the workspace crates)"
+# The benchmark is a package of its own that calls the workspace crates'
+# public API by path. Building and unit-testing it here makes a change
+# that removes or renames an item it calls fail locally, not only when the
+# benchmark next runs.
+cargo build --release --offline --manifest-path altobench/Cargo.toml
+cargo test --offline --manifest-path altobench/Cargo.toml
+
 echo "==> golden figure gate (quick configs)"
 # The --quick figure sweeps are small enough for CI and their stdout is
 # pinned by sha256 fixtures: any determinism break (event ordering, RNG

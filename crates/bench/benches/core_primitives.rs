@@ -1,8 +1,7 @@
 //! Criterion micro-benchmarks for the hot primitives every simulation run
 //! leans on: the event queue, latency histogram, Erlang-C evaluation,
-//! pattern classification/planning and the bounded hardware structures.
+//! pattern classification/planning and NIC steering.
 
-use altocumulus::hw::fifo::BoundedFifo;
 use altocumulus::runtime::patterns::{classify, plan_migrations};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use queueing::erlang::{erlang_c, expected_queue_len};
@@ -84,20 +83,7 @@ fn bench_patterns(c: &mut Criterion) {
     });
 }
 
-fn bench_hw(c: &mut Criterion) {
-    c.bench_function("hw/fifo_cycle_16", |b| {
-        b.iter(|| {
-            let mut f = BoundedFifo::paper_sized();
-            for i in 0..16 {
-                let _ = f.push(i);
-            }
-            let mut sum = 0;
-            while let Some(v) = f.pop() {
-                sum += v;
-            }
-            black_box(sum)
-        });
-    });
+fn bench_nic(c: &mut Criterion) {
     c.bench_function("nic/rss_steer_1k", |b| {
         let mut steering = Steering::rss();
         let mut rng = StdRng::seed_from_u64(5);
@@ -117,6 +103,6 @@ criterion_group!(
     bench_histogram,
     bench_erlang,
     bench_patterns,
-    bench_hw
+    bench_nic
 );
 criterion_main!(benches);

@@ -11,7 +11,7 @@
 pub mod record;
 
 use altocumulus::telemetry::{chrome_trace, Telemetry};
-use schedulers::common::{RpcSystem, SystemResult};
+use schedulers::common::SystemResult;
 use simcore::time::SimDuration;
 use std::path::{Path, PathBuf};
 use workload::trace::Trace;
@@ -68,47 +68,6 @@ pub struct MeasuredPoint {
     pub violation_ratio: f64,
 }
 
-/// Parameters of a [`sweep_system`] run.
-#[derive(Debug, Clone, Copy)]
-pub struct SweepSpec {
-    /// Service-time distribution.
-    pub dist: ServiceDistribution,
-    /// Core count the load is relative to.
-    pub cores: usize,
-    /// Requests per trace.
-    pub requests: usize,
-    /// Client connections per trace.
-    pub connections: u32,
-    /// SLO for violation accounting.
-    pub slo: SimDuration,
-    /// Trace seed.
-    pub seed: u64,
-}
-
-/// Runs `system` across `loads` on freshly built traces and returns one
-/// point per load.
-pub fn sweep_system<S: RpcSystem>(
-    system: &mut S,
-    spec: &SweepSpec,
-    loads: &[f64],
-) -> Vec<MeasuredPoint> {
-    loads
-        .iter()
-        .map(|&load| {
-            let trace = poisson_trace(
-                spec.dist,
-                load,
-                spec.cores,
-                spec.requests,
-                spec.connections,
-                spec.seed,
-            );
-            let r = system.run(&trace);
-            point_from(&r, load, spec.slo)
-        })
-        .collect()
-}
-
 /// Converts a [`SystemResult`] into a [`MeasuredPoint`].
 pub fn point_from(r: &SystemResult, load: f64, slo: SimDuration) -> MeasuredPoint {
     MeasuredPoint {
@@ -117,30 +76,6 @@ pub fn point_from(r: &SystemResult, load: f64, slo: SimDuration) -> MeasuredPoin
         p99: r.p99(),
         violation_ratio: r.violation_ratio(slo),
     }
-}
-
-/// Finds throughput@SLO in MRPS: the achieved throughput at the highest
-/// load whose p99 meets `slo`.
-///
-/// The underlying [`schedulers::sweep::throughput_at_slo_search`] memoizes
-/// evaluated loads, so `run_at` is called exactly once per probed load.
-pub fn throughput_at_slo_mrps<F>(mut run_at: F, slo: SimDuration) -> Option<f64>
-where
-    F: FnMut(f64) -> (SimDuration, f64),
-{
-    let mut mrps_by_load = std::collections::HashMap::new();
-    let search = schedulers::sweep::throughput_at_slo_search(
-        |load| {
-            let (p99, mrps) = run_at(load);
-            mrps_by_load.insert(load.to_bits(), mrps);
-            p99
-        },
-        slo,
-        0.05,
-        0.99,
-        0.02,
-    );
-    search.best.map(|best| mrps_by_load[&best.to_bits()])
 }
 
 /// True iff the process arguments contain the exact flag `name`

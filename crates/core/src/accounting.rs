@@ -180,19 +180,6 @@ pub fn prediction_accuracy(
     }
 }
 
-/// Prediction accuracy measured on a *predict-only* run (the paper's §IV
-/// metric): the run itself never migrates, so its violations are the ground
-/// truth and its `predicted` set is the model's output on the unperturbed
-/// trajectory.
-pub fn prediction_accuracy_self(
-    result: &SystemResult,
-    predicted: &PredictedSet,
-    trace_len: usize,
-    slo: SimDuration,
-) -> f64 {
-    prediction_accuracy(result, predicted, trace_len, slo)
-}
-
 /// Requests whose SLO fate *changed* between two runs — handy for debugging
 /// scheduler changes and for the Fig. 12(c) false-migration count.
 pub fn fate_changes(

@@ -1,72 +1,25 @@
 //! The hardware messaging mechanism of the manager tile (paper §V, Fig. 6).
 //!
-//! Modeled components: bounded send/receive [`fifo`]s, the migration and
-//! parameter [`registers`], the four protocol [`messages`], and the
-//! software–hardware [`interface`] (custom `altom_*` ISA vs. x86 MSRs).
+//! Modeled components: the four protocol [`messages`], the
+//! software–hardware [`interface`] (custom `altom_*` ISA vs. x86 MSRs), and
+//! the send/receive FIFO bounds the engine enforces. The engine models the
+//! FIFOs as counters of MIGRATE messages, not as buffers: a tile's send
+//! count covers MIGRATEs in flight until their ACK/NACK returns, its
+//! receive count covers MIGRATEs that landed and are still draining into
+//! NetRX at 1 ns per descriptor.
 
-pub mod fifo;
 pub mod interface;
 pub mod messages;
-pub mod registers;
 
-pub use fifo::BoundedFifo;
 pub use interface::{instruction_set, Instruction, Interface};
 pub use messages::{Descriptor, Message, DESCRIPTOR_BYTES, HEADER_BYTES};
-pub use registers::{MigrationRegisters, ParameterRegisters};
 
-/// Uniform occupancy view over the bounded hardware buffers, so telemetry
-/// probes can sample any of them (send/receive FIFOs, migration registers)
-/// without caring which structure backs the slot count.
-pub trait Occupancy {
-    /// Entries currently held.
-    fn occupancy(&self) -> usize;
-    /// Maximum entries the structure can hold.
-    fn slots(&self) -> usize;
-    /// `occupancy / slots` in `[0, 1]`; the value telemetry probes export.
-    fn fill_fraction(&self) -> f64 {
-        if self.slots() == 0 {
-            0.0
-        } else {
-            self.occupancy() as f64 / self.slots() as f64
-        }
-    }
-}
+/// Send-FIFO slots per manager tile: the paper's 16-entry send FIFO
+/// (§V-B), counted in MIGRATE messages. A manager with this many MIGRATEs
+/// awaiting their ACK/NACK sends no more in the current tick.
+pub const SEND_FIFO_SLOTS: usize = 16;
 
-impl<T> Occupancy for BoundedFifo<T> {
-    fn occupancy(&self) -> usize {
-        self.len()
-    }
-    fn slots(&self) -> usize {
-        self.capacity()
-    }
-}
-
-impl Occupancy for MigrationRegisters {
-    fn occupancy(&self) -> usize {
-        self.len()
-    }
-    fn slots(&self) -> usize {
-        self.capacity()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn occupancy_reports_fill_fraction() {
-        let mut fifo: BoundedFifo<u32> = BoundedFifo::new(4);
-        assert_eq!(fifo.fill_fraction(), 0.0);
-        fifo.push(1).unwrap();
-        fifo.push(2).unwrap();
-        assert_eq!(fifo.occupancy(), 2);
-        assert_eq!(fifo.slots(), 4);
-        assert_eq!(fifo.fill_fraction(), 0.5);
-
-        let mrs = MigrationRegisters::paper_sized();
-        assert_eq!(mrs.occupancy(), 0);
-        assert!(mrs.slots() > 0);
-        assert_eq!(mrs.fill_fraction(), 0.0);
-    }
-}
+/// Receive-FIFO slots per manager tile: the paper's 16-entry receive FIFO
+/// (§V-B), counted in MIGRATE messages. A MIGRATE that lands while this
+/// many earlier ones are still draining is rejected with a NACK.
+pub const RECV_FIFO_SLOTS: usize = 16;

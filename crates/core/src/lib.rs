@@ -14,8 +14,8 @@
 //!   violations every period, classifies Hill/Valley/Pairing patterns and
 //!   triggers migrations;
 //! - the **hardware messaging mechanism** ([`hw`], Fig. 6/8) moves 14 B
-//!   descriptors between manager tiles through migration registers and
-//!   bounded FIFOs at NoC speed, exposed to user space through custom
+//!   descriptors between manager tiles at NoC speed, bounded by the
+//!   16-entry send/receive FIFOs, exposed to user space through custom
 //!   `altom_*` instructions (or slower x86 MSRs);
 //! - the **system model** ([`system`]) wires everything into a
 //!   discrete-event simulation comparable head-to-head with the baselines in

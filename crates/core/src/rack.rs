@@ -18,10 +18,10 @@
 //!   same serial calendar-queue engine as a single-server run. Servers are
 //!   independent runs, so they fan out across threads.
 //!
-//! The ToR hop is modeled like the `hw` transfer paths ([`rpcstack::nic::
-//! Transfer`], [`crate::hw::fifo::BoundedFifo`]): a fixed switch latency
-//! plus store-and-forward serialization on the destination downlink, whose
-//! occupancy is a per-port drain clock (queueing delay surfaces in
+//! The ToR hop is modeled like the NIC transfer paths ([`rpcstack::nic::
+//! Transfer`]): a fixed switch latency plus store-and-forward serialization
+//! on the destination downlink, whose occupancy is a per-port drain clock
+//! with no buffer limit (queueing delay surfaces in
 //! [`RoutingStats::tor_max_queue_ps`]). Per-server fault plans reuse
 //! [`simcore::faults`] wholesale, and a whole-server-death scenario layers
 //! on top: requests in flight to (or unfinished on) a dead server are

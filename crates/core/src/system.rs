@@ -14,6 +14,7 @@
 use crate::accounting::PredictedSet;
 use crate::config::{AcConfig, Attachment, ControlPlane};
 use crate::hw::messages::{Descriptor, Message};
+use crate::hw::{RECV_FIFO_SLOTS, SEND_FIFO_SLOTS};
 use crate::runtime::patterns::{
     guard_allows, plan_migrations_into, plan_patched_into, plan_threshold_only_into,
     MigrationOrder, PlanScratch, SharedExtremes,
@@ -2075,7 +2076,7 @@ impl<S: TelemetrySink> AcWorld<'_, S> {
                 self.stats.guard_blocked += 1;
                 continue;
             }
-            if self.cold[g].send_inflight >= 16 {
+            if self.cold[g].send_inflight >= SEND_FIFO_SLOTS {
                 break; // send FIFO full
             }
             {
@@ -2238,7 +2239,7 @@ impl<S: TelemetrySink> AcWorld<'_, S> {
                 let dst_tile = self.mgr_tile(dst);
                 let stalled = !self.cfg.faults.fifo_stalls.is_empty()
                     && self.cfg.faults.recv_stalled(dst, now);
-                if self.groups[dst].recv_fifo >= 16 || stalled {
+                if self.groups[dst].recv_fifo >= RECV_FIFO_SLOTS || stalled {
                     // Full (or fault-stalled) receive FIFO: reject with NACK.
                     self.stats.nacked_messages += 1;
                     self.stats.nacked_requests += descriptors.len() as u64;

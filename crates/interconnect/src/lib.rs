@@ -2,12 +2,11 @@
 //!
 //! The latency substrate of the Altocumulus reproduction (paper §VII-B):
 //!
-//! - [`noc`]: a 2-D mesh NoC with XY routing at 3 ns/hop, flit-level
-//!   serialization, broadcast costing, and an injection-port contention
-//!   tracker.
-//! - [`offchip`]: PCIe (200–800 ns size-dependent), QPI (150 ns), and the
-//!   memory hierarchy (L1 / LLC / remote-cache 70-cycle / DRAM) with
-//!   work-stealing cost helpers.
+//! - [`noc`]: a 2-D mesh NoC with XY routing at 3 ns/hop and flit-level
+//!   serialization.
+//! - [`offchip`]: PCIe (200–800 ns size-dependent) and the memory hierarchy
+//!   (L1 / LLC / remote-cache 70-cycle / DRAM) with work-stealing cost
+//!   helpers.
 //!
 //! # Examples
 //!
@@ -30,10 +29,8 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod contention;
 pub mod noc;
 pub mod offchip;
 
-pub use contention::ContendedNoc;
-pub use noc::{MeshNoc, PortTracker, TileCoord};
-pub use offchip::{MemoryModel, Pcie, Qpi};
+pub use noc::{MeshNoc, TileCoord};
+pub use offchip::{MemoryModel, Pcie};

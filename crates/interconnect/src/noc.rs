@@ -4,10 +4,10 @@
 //! the NoC with deterministic XY routing, 3 ns per hop, on a dedicated
 //! virtual network (§V-B, §VII-B). Because the dedicated virtual network is
 //! lightly loaded, the dominant term is hop latency plus serialization of the
-//! (small) payload; an optional per-node injection-port tracker captures
-//! back-to-back send contention at very aggressive migration periods.
+//! (small) payload. Back-to-back MIGRATE sends from one tile are spread by
+//! the engine's closed-form 3 ns injection stagger.
 
-use simcore::time::{SimDuration, SimTime};
+use simcore::time::SimDuration;
 
 /// Coordinates of a tile in the mesh.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -67,25 +67,9 @@ impl MeshNoc {
         Self::new(side, side)
     }
 
-    /// Overrides the per-hop latency (default 3 ns).
-    pub fn with_per_hop(mut self, per_hop: SimDuration) -> Self {
-        self.per_hop = per_hop;
-        self
-    }
-
     /// Number of tiles in the mesh.
     pub fn tiles(&self) -> u32 {
         self.width * self.height
-    }
-
-    /// Mesh width.
-    pub fn width(&self) -> u32 {
-        self.width
-    }
-
-    /// Mesh height.
-    pub fn height(&self) -> u32 {
-        self.height
     }
 
     /// Maps a linear tile id to coordinates (row-major).
@@ -108,11 +92,6 @@ impl MeshNoc {
         a.x.abs_diff(b.x) + a.y.abs_diff(b.y)
     }
 
-    /// Worst-case hop count in this mesh (corner to corner).
-    pub fn diameter(&self) -> u32 {
-        (self.width - 1) + (self.height - 1)
-    }
-
     /// End-to-end latency for a `bytes`-byte message from `src` to `dst`:
     /// head-flit hop latency plus serialization of the body flits.
     /// A zero-hop (self) message still pays one flit of local forwarding.
@@ -120,59 +99,6 @@ impl MeshNoc {
         let hops = self.hops(src, dst);
         let flits = bytes.div_ceil(self.flit_bytes).max(1);
         self.per_hop * hops as u64 + self.per_flit * flits as u64
-    }
-
-    /// Latency of a broadcast from `src` to every other tile (the UPDATE
-    /// message): time until the *last* tile receives it, assuming one
-    /// message per destination injected back-to-back.
-    pub fn broadcast_latency(&self, src: usize, bytes: u32) -> SimDuration {
-        let mut worst = SimDuration::ZERO;
-        let flits = bytes.div_ceil(self.flit_bytes).max(1);
-        let serialize = self.per_flit * flits as u64;
-        for dst in 0..self.tiles() as usize {
-            if dst == src {
-                continue;
-            }
-            // The i-th message waits behind i−1 serializations at the port.
-            let lat = self.latency(src, dst, bytes);
-            worst = worst.max(lat);
-        }
-        // All (tiles-1) messages share the injection port.
-        worst + serialize * (self.tiles() as u64 - 1)
-    }
-}
-
-/// Tracks injection-port availability per tile, so that a node that sends
-/// messages faster than one per serialization interval sees queueing — this
-/// is what makes 40 ns migration periods counter-productive in Fig. 12.
-#[derive(Debug, Clone)]
-pub struct PortTracker {
-    busy_until: Vec<SimTime>,
-}
-
-impl PortTracker {
-    /// Creates a tracker for `tiles` injection ports, all idle.
-    pub fn new(tiles: usize) -> Self {
-        PortTracker {
-            busy_until: vec![SimTime::ZERO; tiles],
-        }
-    }
-
-    /// Reserves the port of `tile` at `now` for `hold`; returns the instant
-    /// the message actually enters the network (≥ `now`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tile` is out of range.
-    pub fn inject(&mut self, tile: usize, now: SimTime, hold: SimDuration) -> SimTime {
-        let start = self.busy_until[tile].max(now);
-        self.busy_until[tile] = start + hold;
-        start
-    }
-
-    /// When the port of `tile` becomes free.
-    pub fn free_at(&self, tile: usize) -> SimTime {
-        self.busy_until[tile]
     }
 }
 
@@ -210,12 +136,6 @@ mod tests {
     }
 
     #[test]
-    fn diameter() {
-        assert_eq!(MeshNoc::new(4, 4).diameter(), 6);
-        assert_eq!(MeshNoc::new(16, 16).diameter(), 30);
-    }
-
-    #[test]
     fn latency_three_ns_per_hop() {
         let noc = MeshNoc::new(4, 4);
         // 14B descriptor = 1 flit.
@@ -231,38 +151,6 @@ mod tests {
     fn self_message_pays_one_flit() {
         let noc = MeshNoc::new(4, 4);
         assert_eq!(noc.latency(3, 3, 14), SimDuration::from_ns(3));
-    }
-
-    #[test]
-    fn broadcast_dominated_by_port_serialization() {
-        let noc = MeshNoc::new(4, 4);
-        let b = noc.broadcast_latency(0, 14);
-        // 15 messages serialize at 3ns plus the farthest hop (18ns+3ns flit).
-        assert_eq!(b.as_ns_f64(), 21.0 + 15.0 * 3.0);
-    }
-
-    #[test]
-    fn port_tracker_serializes() {
-        let mut p = PortTracker::new(2);
-        let t0 = SimTime::from_ns(100);
-        let hold = SimDuration::from_ns(3);
-        assert_eq!(p.inject(0, t0, hold), t0);
-        assert_eq!(p.inject(0, t0, hold), t0 + hold);
-        assert_eq!(p.inject(0, t0, hold), t0 + hold * 2);
-        // Other tile unaffected.
-        assert_eq!(p.inject(1, t0, hold), t0);
-        assert_eq!(p.free_at(0), t0 + hold * 3);
-    }
-
-    #[test]
-    fn port_tracker_idles_forward() {
-        let mut p = PortTracker::new(1);
-        p.inject(0, SimTime::from_ns(10), SimDuration::from_ns(3));
-        // After the port drains, a later injection is not delayed.
-        assert_eq!(
-            p.inject(0, SimTime::from_ns(100), SimDuration::from_ns(3)),
-            SimTime::from_ns(100)
-        );
     }
 
     #[test]

@@ -1,11 +1,10 @@
-//! Off-chip transfer cost models: PCIe, QPI and the memory hierarchy.
+//! Off-chip transfer cost models: PCIe and the memory hierarchy.
 //!
 //! Constants follow the paper's methodology (§VII-B): PCIe 200–800 ns
-//! depending on data size [Neugebauer et al., SIGCOMM'18], QPI 150 ns
-//! point-to-point [Achermann et al., ASPLOS'20], a minimum of 70 cycles to
-//! move a message between cores through the cache-coherence protocol
-//! [Shinjuku, NSDI'19], and 200–400 ns for a work-stealing operation's 2–3
-//! cache misses [Arachne, OSDI'18].
+//! depending on data size [Neugebauer et al., SIGCOMM'18], a minimum of 70
+//! cycles to move a message between cores through the cache-coherence
+//! protocol [Shinjuku, NSDI'19], and 200–400 ns for a work-stealing
+//! operation's 2–3 cache misses [Arachne, OSDI'18].
 
 use simcore::time::SimDuration;
 
@@ -47,28 +46,6 @@ impl Pcie {
     pub fn transfer(&self, bytes: u32) -> SimDuration {
         let ns = self.base.as_ns_f64() + bytes as f64 * self.ns_per_byte;
         SimDuration::from_ns_f64(ns.min(self.max.as_ns_f64()))
-    }
-}
-
-/// QPI / UPI cross-socket interconnect: a constant point-to-point latency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Qpi {
-    /// One-way latency (paper: 150 ns, range 150–250 ns).
-    pub point_to_point: SimDuration,
-}
-
-impl Default for Qpi {
-    fn default() -> Self {
-        Qpi {
-            point_to_point: SimDuration::from_ns(150),
-        }
-    }
-}
-
-impl Qpi {
-    /// Latency of one cross-socket message.
-    pub fn transfer(&self) -> SimDuration {
-        self.point_to_point
     }
 }
 
@@ -136,11 +113,6 @@ mod tests {
         assert_eq!(p.transfer(1 << 20), SimDuration::from_ns(800));
         // Monotone in size.
         assert!(p.transfer(512) <= p.transfer(2048));
-    }
-
-    #[test]
-    fn qpi_constant() {
-        assert_eq!(Qpi::default().transfer(), SimDuration::from_ns(150));
     }
 
     #[test]

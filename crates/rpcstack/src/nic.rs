@@ -6,7 +6,6 @@
 //! requests across per-core queues by connection hash; JBSQ NICs (Nebula /
 //! nanoPU) push requests to cores whose local queue has < n entries.
 
-use crate::stack::StackKind;
 use interconnect::offchip::{MemoryModel, Pcie};
 use rand::Rng;
 use simcore::time::SimDuration;
@@ -66,15 +65,6 @@ impl Transfer {
             Transfer::Pcie(p) => p.transfer(bytes),
             Transfer::Coherent(m) => m.remote_cache,
             Transfer::RegisterFile { latency } => *latency,
-        }
-    }
-
-    /// The transfer used by convention with each RPC stack: TCP/IP and eRPC
-    /// ride commodity PCIe NICs; nanoRPC implies the register-file path.
-    pub fn for_stack(kind: StackKind) -> Self {
-        match kind {
-            StackKind::TcpIp | StackKind::Erpc => Transfer::pcie(),
-            StackKind::NanoRpc => Transfer::register_file(),
         }
     }
 }
@@ -165,18 +155,6 @@ mod tests {
         assert!(pcie > coh, "PCIe slower than coherent NIC");
         assert!(coh > reg, "coherent slower than register file");
         assert_eq!(coh, SimDuration::from_ns(35)); // 70 cycles @ 2GHz
-    }
-
-    #[test]
-    fn stack_transfer_convention() {
-        assert!(matches!(
-            Transfer::for_stack(StackKind::Erpc),
-            Transfer::Pcie(_)
-        ));
-        assert!(matches!(
-            Transfer::for_stack(StackKind::NanoRpc),
-            Transfer::RegisterFile { .. }
-        ));
     }
 
     #[test]

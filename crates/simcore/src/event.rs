@@ -192,22 +192,6 @@ impl<E> EventQueue<E> {
         self.push_scheduled(Scheduled { time, seq, event });
     }
 
-    /// Schedules `event` at `time` and returns the sequence number it was
-    /// assigned.
-    ///
-    /// The seq is the queue's global tie-break: among events at the same
-    /// instant, lower seqs pop first. Worlds that elide events (e.g. lazy
-    /// mailbox delivery) keep the seq of the events they *do* push so that
-    /// an elided effect can be applied exactly when the event-based path
-    /// would have popped it — compare `(time, seq)` lexicographically.
-    #[inline]
-    pub fn push_counted(&mut self, time: SimTime, event: E) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.push_scheduled(Scheduled { time, seq, event });
-        seq
-    }
-
     /// Reserves a contiguous block of `n` sequence numbers and returns its
     /// first value. Subsequent [`push`](Self::push)es draw seqs *after* the
     /// block.
@@ -616,32 +600,6 @@ impl<L, M> StreamInjector<L, M> {
             lower_bound,
             make,
         }
-    }
-
-    /// Number of stream items injected so far.
-    pub fn injected(&self) -> usize {
-        self.next
-    }
-
-    /// Total number of items in the stream.
-    pub fn total(&self) -> usize {
-        self.len
-    }
-
-    /// Items injected per [`EventSource::inject_chunk`] call.
-    pub fn chunk(&self) -> usize {
-        self.chunk
-    }
-}
-
-impl<L: Fn(usize) -> SimTime, M> StreamInjector<L, M> {
-    /// The lower-bound watermark of stream item `idx` (side-effect free; see
-    /// the [`EventSource`] contract). Callers replaying the injection
-    /// schedule virtually — without touching the physical cursor — use this
-    /// to decide when a serial run would have refilled the queue.
-    pub fn bound_of(&self, idx: usize) -> SimTime {
-        debug_assert!(idx < self.len);
-        (self.lower_bound)(idx)
     }
 }
 
@@ -1055,20 +1013,6 @@ mod tests {
         assert!(w.0.iter().all(|&(t, _)| t <= horizon));
         // The un-simulated remainder lives in queue + source together.
         assert!(source.next_time().is_some() || !q.is_empty());
-    }
-
-    #[test]
-    fn push_counted_returns_the_tie_break_seq() {
-        let mut q = EventQueue::new();
-        let t = SimTime::from_ns(9);
-        let s0 = q.push_counted(t, "a");
-        let s1 = q.push_counted(t, "b");
-        assert!(s0 < s1, "seqs are monotone in push order");
-        // A reserved seq drawn afterwards continues the same counter.
-        assert_eq!(q.reserve_seqs(1), s1 + 1);
-        // Pop order at a tie follows the returned seqs.
-        assert_eq!(q.pop(), Some((t, "a")));
-        assert_eq!(q.pop(), Some((t, "b")));
     }
 
     #[test]

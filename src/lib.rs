@@ -7,7 +7,7 @@
 //! | crate | role |
 //! |---|---|
 //! | [`simcore`] | deterministic ps-resolution discrete-event engine, metrics |
-//! | [`interconnect`] | NoC mesh (3 ns/hop), PCIe, QPI, memory hierarchy |
+//! | [`interconnect`] | NoC mesh (3 ns/hop), PCIe, memory hierarchy |
 //! | [`workload`] | service-time distributions, Poisson/MMPP arrivals, traces |
 //! | [`queueing`] | Erlang-C, M/M/k, the E\[T̂\] threshold model + calibration |
 //! | [`rpcstack`] | TCP/IP / eRPC / nanoRPC stacks, NIC steering & transfers |

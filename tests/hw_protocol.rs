@@ -1,12 +1,10 @@
-//! Protocol walk-through over the hardware component models: the Fig. 8
-//! example executed step by step through MRs, FIFOs and messages, plus the
-//! §VI walk-through's arithmetic.
+//! Protocol walk-through: the paper's §VI example through the live pattern
+//! classifier and migration planner, and the wire sizes of the messages the
+//! engine sends for it.
 
-use altocumulus::hw::fifo::BoundedFifo;
 use altocumulus::hw::messages::{Descriptor, Message, DESCRIPTOR_BYTES, HEADER_BYTES};
-use altocumulus::hw::registers::{MigrationRegisters, ParameterRegisters};
 use altocumulus::runtime::patterns::{classify, plan_migrations, Pattern};
-use simcore::time::{SimDuration, SimTime};
+use simcore::time::SimTime;
 use workload::request::RequestId;
 
 fn descriptors(range: std::ops::Range<u64>) -> Vec<Descriptor> {
@@ -21,14 +19,11 @@ fn descriptors(range: std::ops::Range<u64>) -> Vec<Descriptor> {
 
 /// The paper's §VI walk-through: Bulk=40, Concurrency=4, q=[30,30,70,30].
 /// The 3rd queue's manager sends one MIGRATE of 10 descriptors to each of
-/// the other queues; after ACKs its MR staging is empty again.
+/// the other queues.
 #[test]
 fn section_6_walkthrough_end_to_end() {
     let q = [30u32, 30, 70, 30];
     assert_eq!(classify(&q, 40), Some(Pattern::Hill));
-
-    let prs = ParameterRegisters::new(4, SimDuration::from_ns(200), 40, 4);
-    assert_eq!(prs.message_size(), 10);
 
     let orders = plan_migrations(2, &q, usize::MAX, 40, 4);
     assert_eq!(
@@ -36,69 +31,29 @@ fn section_6_walkthrough_end_to_end() {
         vec![0, 1, 3]
     );
 
-    // Stage, send and ACK each order through the hardware models.
-    let mut mr = MigrationRegisters::new(40);
-    let mut send_fifo: BoundedFifo<Message> = BoundedFifo::paper_sized();
     let mut next_id = 0u64;
     for order in &orders {
-        let batch = descriptors(next_id..next_id + order.count as u64);
-        next_id += order.count as u64;
-        let rejected = mr.stage(batch.clone());
-        assert!(rejected.is_empty(), "MR must hold a 10-descriptor batch");
+        assert_eq!(order.count, 10, "Bulk / Concurrency descriptors each");
         let msg = Message::Migrate {
             src: 2,
             dst: order.dst,
-            descriptors: batch,
+            descriptors: descriptors(next_id..next_id + order.count as u64),
             token: 0,
         };
+        next_id += order.count as u64;
         assert_eq!(msg.wire_bytes(), HEADER_BYTES + 10 * DESCRIPTOR_BYTES);
-        send_fifo
-            .push(msg)
-            .expect("send FIFO has room for 3 messages");
     }
-    assert_eq!(mr.len(), 30, "three staged batches of 10");
-
-    // The NoC delivers; each destination ACKs; the source invalidates.
-    let mut acks = 0;
-    while let Some(msg) = send_fifo.pop() {
-        if let Message::Migrate { descriptors, .. } = msg {
-            // Destination accepts into its receive FIFO.
-            let mut recv: BoundedFifo<Descriptor> = BoundedFifo::paper_sized();
-            for d in &descriptors {
-                recv.push(*d).expect("10 < 16 receive slots");
-            }
-            acks += 1;
-            mr.invalidate(descriptors.len());
-        }
-    }
-    assert_eq!(
-        acks, 3,
-        "the Fig. 8 source receives 3 ACK messages in total"
-    );
-    assert!(mr.is_empty(), "ACKed entries are invalidated");
 }
 
-/// A full receive FIFO produces the NACK path: the message bounces and the
-/// source's staged descriptors survive for restoration.
+/// A MIGRATE that lands on a full receive FIFO bounces as a NACK. The
+/// descriptors ride back in the simulated message so the source can restore
+/// them, but on the wire the NACK is header-only: in hardware they never
+/// left the source's MRs.
 #[test]
 fn nack_on_full_receive_fifo() {
-    let mut recv: BoundedFifo<Descriptor> = BoundedFifo::new(16);
-    for d in descriptors(0..16) {
-        recv.push(d).unwrap();
-    }
-    assert!(recv.is_full());
-
-    let incoming = descriptors(100..108);
-    let mut mr = MigrationRegisters::new(11);
-    let leftover = mr.stage(incoming.clone());
-    assert!(leftover.is_empty());
-
-    // Destination cannot take it: push fails, NACK goes back.
-    let first = incoming[0];
-    assert!(recv.push(first).is_err());
     let nack = Message::Nack {
         src: 1,
-        descriptors: incoming,
+        descriptors: descriptors(100..108),
         token: 0,
     };
     assert_eq!(
@@ -106,39 +61,4 @@ fn nack_on_full_receive_fifo() {
         HEADER_BYTES,
         "NACK is header-only on the wire"
     );
-    // Source restores its staged entries instead of invalidating.
-    let restored = mr.drain();
-    assert_eq!(restored.len(), 8);
-    assert_eq!(restored[0].id, RequestId(100));
-}
-
-/// UPDATE bookkeeping: queue-length broadcasts land in every other
-/// manager's parameter registers.
-#[test]
-fn update_broadcast_refreshes_prs() {
-    let mut prs: Vec<ParameterRegisters> = (0..4)
-        .map(|_| ParameterRegisters::new(4, SimDuration::from_ns(200), 16, 4))
-        .collect();
-    // Manager 2 broadcasts q=70.
-    for (i, pr) in prs.iter_mut().enumerate() {
-        if i != 2 {
-            pr.record_update(2, 70);
-        }
-    }
-    for (i, pr) in prs.iter().enumerate() {
-        if i != 2 {
-            assert_eq!(pr.queue_lens[2], 70, "manager {i} missed the UPDATE");
-        }
-    }
-}
-
-/// The paper's MR sizing argument (§V-B): 11 descriptors of 14 B = 154 B,
-/// and the 16-entry FIFOs hold 224 B.
-#[test]
-fn paper_hardware_budgets() {
-    let mr = MigrationRegisters::paper_sized();
-    assert_eq!(mr.capacity(), 11);
-    assert_eq!(mr.size_bytes(), 154);
-    let fifo: BoundedFifo<Descriptor> = BoundedFifo::paper_sized();
-    assert_eq!(fifo.capacity() as u32 * DESCRIPTOR_BYTES, 224);
 }
