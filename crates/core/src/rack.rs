@@ -52,7 +52,8 @@ use simcore::faults::FaultPlan;
 use simcore::rng::{stream_rng, streams, BatchedRng};
 use simcore::time::{SimDuration, SimTime};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::binary_heap::PeekMut;
+use std::collections::BinaryHeap;
 use workload::request::{Completion, Request, RequestId};
 use workload::trace::Trace;
 
@@ -488,14 +489,60 @@ fn run_server(spec: &ServerSpec, trace: &Trace) -> ServerOutcome {
     }
 }
 
+/// The completions a server is credited with: those that finished strictly
+/// before its death (all of them if it never dies). `completions` must be
+/// sorted by finish time, so the credited ones are a prefix.
+fn credited(completions: &[Completion], death: Option<SimTime>) -> &[Completion] {
+    debug_assert!(
+        completions.windows(2).all(|w| w[0].finish <= w[1].finish),
+        "a server's completions must be sorted by finish time"
+    );
+    match death {
+        Some(d) => &completions[..completions.partition_point(|c| c.finish < d)],
+        None => completions,
+    }
+}
+
+/// Deterministic rack merge: a k-way merge of per-server completion lists,
+/// each sorted by finish time, calling `emit(server, completion)` in
+/// (finish, server, per-server order). Equal-finish ties therefore never
+/// depend on thread scheduling, and a 1-server rack preserves its server's
+/// completion order exactly.
+fn merge_by_finish(lists: &[&[Completion]], mut emit: impl FnMut(usize, &Completion)) {
+    // One entry per non-exhausted list: (head finish, server). A server's
+    // next completion enters only after its previous one left, which keeps
+    // the per-server order.
+    let mut heads: BinaryHeap<Reverse<(SimTime, usize)>> = lists
+        .iter()
+        .enumerate()
+        .filter_map(|(s, l)| l.first().map(|c| Reverse((c.finish, s))))
+        .collect();
+    let mut next = vec![0usize; lists.len()];
+    while let Some(mut top) = heads.peek_mut() {
+        let Reverse((_, s)) = *top;
+        emit(s, &lists[s][next[s]]);
+        next[s] += 1;
+        match lists[s].get(next[s]) {
+            Some(c) => *top = Reverse((c.finish, s)),
+            None => {
+                PeekMut::pop(top);
+            }
+        }
+    }
+}
+
 /// Serial routing-pass state (see [`RackWorld::route`]).
 struct Router<'a> {
     cfg: &'a RackConfig,
     trace: &'a Trace,
     rng: BatchedRng<StdRng>,
-    /// Connection → bound server (looked up by key only, never iterated,
-    /// so the map's order cannot leak into results).
-    bind: HashMap<u32, usize>,
+    /// Connection id → bound server ([`UNBOUND`] if none), dense and grown
+    /// on first bind: one slot per connection id up to the largest seen.
+    bind: Vec<u32>,
+    /// Scratch: servers not yet detected dead at the current send.
+    live: Vec<usize>,
+    /// Scratch: the sampled power-of-k candidates.
+    cands: Vec<usize>,
     /// Per-server downlink drain clock (ps).
     port_busy: Vec<u64>,
     /// Per-server estimated-finish heap: the ToR's outstanding counter.
@@ -518,7 +565,28 @@ struct Router<'a> {
     mean_ps: u64,
 }
 
+/// [`Router::bind`] slot of a connection with no bound server.
+const UNBOUND: u32 = u32::MAX;
+
 impl Router<'_> {
+    /// The server connection `conn` is bound to, if any.
+    fn bound(&self, conn: u32) -> Option<usize> {
+        match self.bind.get(conn as usize) {
+            Some(&s) if s != UNBOUND => Some(s as usize),
+            _ => None,
+        }
+    }
+
+    /// Binds `conn` to server `s` and returns the previous binding.
+    fn rebind(&mut self, conn: u32, s: usize) -> Option<usize> {
+        let slot = conn as usize;
+        if slot >= self.bind.len() {
+            self.bind.resize(slot + 1, UNBOUND);
+        }
+        let prev = std::mem::replace(&mut self.bind[slot], s as u32);
+        (prev != UNBOUND).then_some(prev as usize)
+    }
+
     fn is_detected_dead(&self, s: usize, now_ps: u64) -> bool {
         self.detect_ps[s].is_some_and(|d| now_ps >= d)
     }
@@ -532,23 +600,26 @@ impl Router<'_> {
         self.load[s].len()
     }
 
-    /// Least-loaded of `power_k` sampled live candidates (tie → lowest
-    /// index). Sampling is skipped — zero draws — when `k` covers the
-    /// whole live set.
-    fn sample_best(&mut self, live: &[usize], now_ps: u64) -> usize {
-        let k = self.cfg.policy.power_k.min(live.len());
-        let cands: Vec<usize> = if k == live.len() {
-            live.to_vec()
+    /// Least-loaded of `power_k` sampled candidates from [`Self::live`]
+    /// (tie → lowest index). Sampling is skipped — zero draws — when `k`
+    /// covers the whole live set.
+    fn sample_best(&mut self, now_ps: u64) -> usize {
+        let n = self.live.len();
+        let k = self.cfg.policy.power_k.min(n);
+        let mut cands = std::mem::take(&mut self.cands);
+        cands.clear();
+        if k == n {
+            cands.extend_from_slice(&self.live);
         } else {
-            let mut picked: Vec<usize> = Vec::with_capacity(k);
-            while picked.len() < k {
-                let i = self.rng.random_range(0..live.len());
-                if !picked.contains(&i) {
-                    picked.push(i);
+            // Live servers are distinct, so testing the server is testing
+            // its sampled index.
+            while cands.len() < k {
+                let s = self.live[self.rng.random_range(0..n)];
+                if !cands.contains(&s) {
+                    cands.push(s);
                 }
             }
-            picked.into_iter().map(|i| live[i]).collect()
-        };
+        }
         let mut best = cands[0];
         let mut best_load = self.load_of(best, now_ps);
         for &s in &cands[1..] {
@@ -558,17 +629,18 @@ impl Router<'_> {
                 best_load = l;
             }
         }
+        self.cands = cands;
         best
     }
 
-    /// Applies the two-level policy: affinity first, power-of-k least-load
-    /// where a decision is needed.
-    fn pick(&mut self, live: &[usize], conn: u32, now_ps: u64) -> usize {
-        if live.len() == 1 {
+    /// Applies the two-level policy over [`Self::live`]: affinity first,
+    /// power-of-k least-load where a decision is needed.
+    fn pick(&mut self, conn: u32, now_ps: u64) -> usize {
+        if self.live.len() == 1 {
             // No choice to make and no RNG to draw (this keeps a 1-server
             // rack byte-identical to the bare server).
-            let s = live[0];
-            if self.cfg.policy.affinity && self.bind.insert(conn, s) != Some(s) {
+            let s = self.live[0];
+            if self.cfg.policy.affinity && self.rebind(conn, s) != Some(s) {
                 self.stats.new_bindings += 1;
             } else if self.cfg.policy.affinity {
                 self.stats.affinity_hits += 1;
@@ -576,33 +648,29 @@ impl Router<'_> {
             return s;
         }
         let pol = self.cfg.policy;
-        let bound = if pol.affinity {
-            self.bind.get(&conn).copied()
-        } else {
-            None
-        };
+        let bound = if pol.affinity { self.bound(conn) } else { None };
         if let Some(b) = bound {
             if self.is_detected_dead(b, now_ps) {
-                let best = self.sample_best(live, now_ps);
+                let best = self.sample_best(now_ps);
                 self.stats.dead_rebinds += 1;
-                self.bind.insert(conn, best);
+                self.rebind(conn, best);
                 return best;
             }
-            let best = self.sample_best(live, now_ps);
+            let best = self.sample_best(now_ps);
             let lb = self.load_of(b, now_ps) as u64;
             let lbest = self.load_of(best, now_ps) as u64;
             if lb > u64::from(pol.spill_factor) * lbest + u64::from(pol.spill_slack) {
                 self.stats.affinity_rebinds += 1;
-                self.bind.insert(conn, best);
+                self.rebind(conn, best);
                 return best;
             }
             self.stats.affinity_hits += 1;
             return b;
         }
-        let best = self.sample_best(live, now_ps);
+        let best = self.sample_best(now_ps);
         if pol.affinity {
             self.stats.new_bindings += 1;
-            self.bind.insert(conn, best);
+            self.rebind(conn, best);
         }
         best
     }
@@ -610,15 +678,18 @@ impl Router<'_> {
     /// Routes one send (first attempt or retry) of global request
     /// `global` at instant `send_ps`.
     fn route_one(&mut self, global: usize, send_ps: u64) {
-        let live: Vec<usize> = (0..self.cfg.servers)
-            .filter(|&s| !self.is_detected_dead(s, send_ps))
-            .collect();
-        if live.is_empty() {
+        self.live.clear();
+        for s in 0..self.cfg.servers {
+            if !self.is_detected_dead(s, send_ps) {
+                self.live.push(s);
+            }
+        }
+        if self.live.is_empty() {
             self.stats.lost += 1;
             return;
         }
         let r = self.trace.requests()[global];
-        let s = self.pick(&live, r.conn.0, send_ps);
+        let s = self.pick(r.conn.0, send_ps);
 
         // ToR hop: switch latency + store-and-forward on the downlink.
         let ser = self.cfg.tor.serialization(r.size_bytes).as_ps();
@@ -749,7 +820,9 @@ impl RackWorld {
             cfg: &self.cfg,
             trace,
             rng: BatchedRng::new(stream_rng(self.cfg.seed, streams::RACK)),
-            bind: HashMap::new(),
+            bind: Vec::new(),
+            live: Vec::with_capacity(n),
+            cands: Vec::with_capacity(n),
             port_busy: vec![0; n],
             load: vec![BinaryHeap::new(); n],
             sub: vec![Vec::new(); n],
@@ -800,39 +873,22 @@ impl RackWorld {
         });
 
         let cores = self.cfg.cores_per_server();
-        // Deterministic merge: sort key is (finish, server, per-server
-        // completion sequence), so equal-finish ties never depend on
-        // thread scheduling and a 1-server rack preserves its server's
-        // completion order exactly.
-        let mut merged: Vec<(u64, usize, u64, Completion)> = Vec::with_capacity(trace.len());
-        let mut credited = vec![0usize; self.cfg.servers];
-        for (s, out) in outcomes.iter().enumerate() {
-            let cut = self.cfg.death_of(s).map(|t| t.as_ps());
-            for (ci, c) in out.system().completions.iter().enumerate() {
-                if cut.is_some_and(|d| c.finish.as_ps() >= d) {
-                    continue;
-                }
-                credited[s] += 1;
-                let global = routing.global_of[s][c.id.0 as usize];
-                merged.push((
-                    c.finish.as_ps(),
-                    s,
-                    ci as u64,
-                    Completion {
-                        id: RequestId(global as u64),
-                        arrival: trace.requests()[global].arrival,
-                        finish: c.finish,
-                        core: s * cores + c.core,
-                        migrated: c.migrated,
-                    },
-                ));
-            }
-        }
-        merged.sort_unstable_by_key(|&(f, s, ci, _)| (f, s, ci));
-        let mut system = SystemResult::with_capacity(merged.len());
-        for (_, _, _, c) in merged {
-            system.record(c);
-        }
+        let lists: Vec<&[Completion]> = outcomes
+            .iter()
+            .enumerate()
+            .map(|(s, out)| credited(&out.system().completions, self.cfg.death_of(s)))
+            .collect();
+        let mut system = SystemResult::with_capacity(lists.iter().map(|l| l.len()).sum());
+        merge_by_finish(&lists, |s, c| {
+            let global = routing.global_of[s][c.id.0 as usize];
+            system.record(Completion {
+                id: RequestId(global as u64),
+                arrival: trace.requests()[global].arrival,
+                finish: c.finish,
+                core: s * cores + c.core,
+                migrated: c.migrated,
+            });
+        });
 
         let per_server = outcomes
             .iter()
@@ -841,7 +897,7 @@ impl RackWorld {
                 label: format!("srv{s}"),
                 engine: out.engine(),
                 assigned: routing.sub_traces[s].len(),
-                completed: credited[s],
+                completed: lists[s].len(),
                 events: out.events(),
                 peak_queue: out.peak_queue(),
             })
@@ -862,6 +918,110 @@ impl RackWorld {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The sort-based merge that [`merge_by_finish`] replaced, kept as its
+    /// oracle: drop each server's completions at or after its death, then
+    /// sort by (finish, server, per-server index).
+    fn merge_by_sort(
+        lists: &[Vec<Completion>],
+        deaths: &[Option<SimTime>],
+    ) -> Vec<(usize, Completion)> {
+        let mut merged = Vec::new();
+        for (s, list) in lists.iter().enumerate() {
+            for (ci, c) in list.iter().enumerate() {
+                if deaths[s].is_some_and(|d| c.finish >= d) {
+                    continue;
+                }
+                merged.push((c.finish, s, ci));
+            }
+        }
+        merged.sort_unstable();
+        merged
+            .into_iter()
+            .map(|(_, s, ci)| (s, lists[s][ci]))
+            .collect()
+    }
+
+    /// What [`RackWorld::run`] merges: credited prefixes, k-way merged.
+    fn merge_k_way(
+        lists: &[Vec<Completion>],
+        deaths: &[Option<SimTime>],
+    ) -> Vec<(usize, Completion)> {
+        let cut: Vec<&[Completion]> = lists
+            .iter()
+            .zip(deaths)
+            .map(|(l, &d)| credited(l, d))
+            .collect();
+        let mut merged = Vec::new();
+        merge_by_finish(&cut, |s, c| merged.push((s, *c)));
+        merged
+    }
+
+    /// A server's completion list with the given (sorted) finish times in
+    /// ns; each id is its position, so the oracle comparison also checks
+    /// the per-server order.
+    fn completions(finish_ns: &[u64]) -> Vec<Completion> {
+        finish_ns
+            .iter()
+            .enumerate()
+            .map(|(i, &f)| Completion {
+                id: RequestId(i as u64),
+                arrival: SimTime::ZERO,
+                finish: SimTime::from_ns(f),
+                core: 0,
+                migrated: false,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn merge_breaks_ties_by_server_then_order_and_cuts_at_death() {
+        let lists = vec![
+            completions(&[1, 3, 3, 5]),
+            completions(&[3, 3, 4]),
+            completions(&[0, 3, 9]),
+            completions(&[]),
+        ];
+        // Server 1 dies at its first completion (credits nothing), server 2
+        // at its last (credits all but it).
+        let deaths = [
+            None,
+            Some(SimTime::from_ns(3)),
+            Some(SimTime::from_ns(9)),
+            None,
+        ];
+        let got = merge_k_way(&lists, &deaths);
+        let order: Vec<(usize, u64)> = got.iter().map(|&(s, c)| (s, c.id.0)).collect();
+        assert_eq!(order, [(2, 0), (0, 0), (0, 1), (0, 2), (2, 1), (0, 3)]);
+        assert_eq!(got, merge_by_sort(&lists, &deaths));
+    }
+
+    proptest! {
+        #[test]
+        fn k_way_merge_matches_the_sort_oracle(
+            servers in proptest::collection::vec(
+                (proptest::collection::vec(0u64..12, 0..24), 0u8..4, 0u64..14),
+                1..6,
+            ),
+        ) {
+            let mut lists = Vec::new();
+            let mut deaths = Vec::new();
+            for (mut finish_ns, cut, at_ns) in servers {
+                // Narrow finish range: many equal finishes across servers.
+                finish_ns.sort_unstable();
+                let list = completions(&finish_ns);
+                deaths.push(match cut {
+                    0 => None,
+                    1 => list.first().map(|c| c.finish),
+                    2 => list.last().map(|c| c.finish),
+                    _ => Some(SimTime::from_ns(at_ns)),
+                });
+                lists.push(list);
+            }
+            prop_assert_eq!(merge_k_way(&lists, &deaths), merge_by_sort(&lists, &deaths));
+        }
+    }
 
     #[test]
     fn serialization_math() {

@@ -36,6 +36,23 @@ impl ThresholdPolicy {
             }
         }
     }
+
+    /// A lower bound on every value [`threshold`](Self::threshold) can
+    /// return for a group with `workers` cores, whatever the offered load:
+    /// 1 for the model (its threshold is floored at 1), the constant itself
+    /// for the other policies. The runtime reads a threshold only through
+    /// `queue_len > threshold`, which is false for both the floor and the
+    /// exact value whenever `queue_len <= floor` — so such a tick may skip
+    /// the model evaluation and plan with the floor.
+    pub fn floor(&self, workers: usize) -> usize {
+        match *self {
+            ThresholdPolicy::Model(_) => 1,
+            ThresholdPolicy::Fixed(t) => t,
+            ThresholdPolicy::NaiveUpperBound { slo_ratio } => {
+                queueing::naive_upper_bound(workers, slo_ratio)
+            }
+        }
+    }
 }
 
 /// Exponentially-weighted estimator of the local offered load.
@@ -80,6 +97,13 @@ impl LoadEstimator {
         if secs <= 0.0 {
             return;
         }
+        if arrivals == 0 && self.primed {
+            // `(1-α)·r + α·0.0` rounds to exactly `(1-α)·r`: the added term
+            // is +0.0 and the product is never -0.0 (r >= 0), so the short
+            // form is bit-identical and skips a division.
+            self.rate_per_sec *= 1.0 - self.alpha;
+            return;
+        }
         let sample = arrivals as f64 / secs;
         if self.primed {
             self.rate_per_sec = (1.0 - self.alpha) * self.rate_per_sec + self.alpha * sample;
@@ -120,6 +144,11 @@ impl LoadEstimator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::patterns::{
+        plan_migrations_into, plan_patched_into, plan_threshold_only_into, MigrationOrder,
+        PlanScratch, SharedExtremes,
+    };
+    use proptest::prelude::*;
     use queueing::erlang::expected_queue_len;
 
     #[test]
@@ -193,6 +222,23 @@ mod tests {
     }
 
     #[test]
+    fn zero_observation_matches_the_ewma_formula_bitwise() {
+        let period = SimDuration::from_ns(200);
+        for alpha in [0.2, 0.05, 0.37, 0.999, 1.0] {
+            for arrivals in [0u64, 1, 3, 17, 1000] {
+                let mut e = LoadEstimator::new(SimDuration::from_ns(850), alpha);
+                e.observe(arrivals, period);
+                for _ in 0..50 {
+                    let r = e.rate_per_sec();
+                    let want = (1.0 - alpha) * r + alpha * (0.0 / period.as_secs_f64());
+                    e.observe(0, period);
+                    assert_eq!(e.rate_per_sec().to_bits(), want.to_bits(), "alpha={alpha}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn policy_model_matches_threshold_model() {
         let m = ThresholdModel::paper_fixed();
         let p = ThresholdPolicy::Model(m);
@@ -217,6 +263,97 @@ mod tests {
         // Cross-check one value against Erlang-C directly.
         let expect = expected_queue_len(15, 15.0 * 0.99).round() as usize;
         assert_eq!(p.threshold(15, 15.0 * 0.99), expect.max(1));
+    }
+
+    /// Every policy shape: the paper's and the identity model, arbitrary
+    /// (also negative) model constants, fixed and naive thresholds.
+    fn any_policy() -> impl Strategy<Value = ThresholdPolicy> {
+        prop_oneof![
+            Just(ThresholdPolicy::Model(ThresholdModel::paper_fixed())),
+            Just(ThresholdPolicy::Model(ThresholdModel::identity())),
+            (-2.0f64..3.0, -8.0f64..8.0, -2.0f64..3.0, -8.0f64..8.0)
+                .prop_map(|(a, b, c, d)| ThresholdPolicy::Model(ThresholdModel { a, b, c, d })),
+            (0usize..40).prop_map(ThresholdPolicy::Fixed),
+            (0.0f64..20.0).prop_map(|slo_ratio| ThresholdPolicy::NaiveUpperBound { slo_ratio }),
+        ]
+    }
+
+    /// Offered load for a `workers`-core group: idle, subnormal, just
+    /// under saturation, saturated, overloaded, or arbitrary below `w`.
+    fn offered_load(workers: usize, kind: u8, x: f64) -> f64 {
+        let w = workers as f64;
+        match kind {
+            0 => 0.0,
+            1 => f64::from_bits(1 + (x * 1e6) as u64), // subnormal
+            2 => f64::from_bits(w.to_bits() - 1),      // the largest f64 below w
+            3 => w * (1.0 - 1e-9 * x),
+            4 => w,
+            5 => w + 4.0 * x,
+            _ => w * x,
+        }
+    }
+
+    proptest! {
+        /// The floor bounds every threshold the policy can return.
+        #[test]
+        fn floor_bounds_every_threshold(
+            policy in any_policy(),
+            workers in 1usize..64,
+            kind in 0u8..7,
+            x in 0.0f64..1.0,
+        ) {
+            let offered = offered_load(workers, kind, x);
+            prop_assert!(
+                policy.floor(workers) <= policy.threshold(workers, offered),
+                "floor {} above threshold {} at offered {offered:e}",
+                policy.floor(workers),
+                policy.threshold(workers, offered)
+            );
+        }
+
+        /// A queue within the floor plans the same orders under the floor
+        /// as under the exact threshold, in all three planners — the
+        /// exactness of the tick's skipped threshold evaluation.
+        #[test]
+        fn planners_agree_on_floor_and_threshold_within_the_floor(
+            policy in any_policy(),
+            workers in 1usize..64,
+            kind in 0u8..7,
+            x in 0.0f64..1.0,
+            q in proptest::collection::vec(0u32..48, 2..40),
+            me_raw in 0usize..40,
+            own_raw in 0usize..1000,
+            old_len in 0u32..48,
+            bulk in 1usize..40,
+            concurrency_raw in 1usize..12,
+        ) {
+            let offered = offered_load(workers, kind, x);
+            let floor = policy.floor(workers);
+            let exact = policy.threshold(workers, offered);
+            let me = me_raw % q.len();
+            let own = own_raw % (floor.min(1000) + 1);
+            let concurrency = concurrency_raw.min(bulk);
+            let mut q = q;
+            q[me] = own as u32;
+            let mut shared = q.clone();
+            shared[me] = old_len;
+            let mut ext = SharedExtremes::default();
+            ext.rank(&shared, concurrency);
+            let mut scratch = PlanScratch::default();
+            let plans = |t: usize, scratch: &mut PlanScratch| {
+                let mut out: [Vec<MigrationOrder>; 4] = Default::default();
+                plan_migrations_into(me, &q, t, bulk, concurrency, scratch, &mut out[0]);
+                plan_threshold_only_into(me, &q, t, bulk, concurrency, scratch, &mut out[1]);
+                for (use_patterns, o) in [(true, 2), (false, 3)] {
+                    plan_patched_into(
+                        me, own as u32, q.len(), old_len, &ext, t, bulk, concurrency,
+                        use_patterns, scratch, &mut out[o],
+                    );
+                }
+                out
+            };
+            prop_assert_eq!(plans(floor, &mut scratch), plans(exact, &mut scratch));
+        }
     }
 
     #[test]

@@ -1772,8 +1772,18 @@ impl<S: TelemetrySink> AcWorld<'_, S> {
         self.cold[g].estimator.observe(arrivals, cfg.period);
         let offered = self.cold[g].estimator.offered_erlangs();
 
-        // 2. Threshold from the prediction model at the measured load.
-        let threshold = cfg.threshold.threshold(cfg.workers_per_group(), offered);
+        // 2. Threshold from the prediction model at the measured load. The
+        //    threshold is read only through `own queue > threshold`, so a
+        //    queue within the policy's floor (a lower bound on every
+        //    threshold it returns) plans identically with the floor and
+        //    skips the Erlang-C evaluation.
+        let workers = cfg.workers_per_group();
+        let floor = cfg.threshold.floor(workers);
+        let threshold = if self.groups[g].netrx.len() > floor {
+            cfg.threshold.threshold(workers, offered)
+        } else {
+            floor
+        };
 
         // Telemetry probes sample the tick-time state the runtime just
         // computed. Pure reads — dormant (fast-forwarded) groups simply
@@ -1935,7 +1945,11 @@ impl<S: TelemetrySink> AcWorld<'_, S> {
         // has died, the planner's steady-state logic is meaningless — the
         // queue can only shrink by leaving. Override the plan with
         // up-to-`concurrency` bulk evacuations to the best-looking live
-        // peer, bypassing the guard and the at-most-once restriction.
+        // peer, bypassing the guard and the at-most-once restriction. A
+        // peer is live only with its manager and at least one worker
+        // alive: a workerless peer would just drain the queue onward, and
+        // with every worker dead the stranded queues would bounce around
+        // the mesh until the stall bound stopped the timers.
         let emergency = self
             .faults
             .as_ref()
@@ -1947,7 +1961,12 @@ impl<S: TelemetrySink> AcWorld<'_, S> {
             let best = peers
                 .iter()
                 .copied()
-                .filter(|&p| p != g && !fs.mgr_dead[p] && now >= fs.backoff[g][p])
+                .filter(|&p| {
+                    p != g
+                        && !fs.mgr_dead[p]
+                        && fs.dead[p].iter().any(|&d| !d)
+                        && now >= fs.backoff[g][p]
+                })
                 .min_by_key(|&p| (q_view[p], p));
             if let Some(dst) = best {
                 for _ in 0..cfg.concurrency {

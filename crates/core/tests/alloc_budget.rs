@@ -21,12 +21,17 @@
 //! telemetry may add only the recorder's own amortized ring growth (span
 //! log doubling), nothing per-event beyond it.
 //!
+//! The rack's serial routing pass is pinned the same way, per routed
+//! request instead of per event: live-set and candidate buffers are reused
+//! and connection bindings live in a dense table, so only the amortized
+//! growth of the per-server sub-traces and the ToR's load heaps remains.
+//!
 //! Runs without the libtest harness (`harness = false` in Cargo.toml): the
 //! global counter is process-wide, and libtest's own main thread allocates
 //! lazily mid-test (its channel-receive context), polluting the deltas — a
 //! plain `fn main` keeps the process single-threaded.
 
-use altocumulus::{AcConfig, Altocumulus, Telemetry};
+use altocumulus::{AcConfig, Altocumulus, RackConfig, RackWorld, Telemetry};
 use simcore::alloc::CountingAlloc;
 use simcore::time::SimDuration;
 use simcore::trace::{Granularity, Recorder};
@@ -123,6 +128,22 @@ fn run_recorded_spans(trace: &Trace) -> (u64, u64) {
     (ALLOC.allocations() - before, r.summary.events)
 }
 
+/// Routes `trace` through a healthy rack of four 16-core servers
+/// (power-of-2 least-load with connection affinity) and returns the
+/// allocations of the routing pass and the requests it routed — the unit
+/// this regime's budget is counted in.
+fn run_route(trace: &Trace) -> (u64, u64) {
+    let world = RackWorld::new(RackConfig::ac(4, 2, 8, SimDuration::from_ns(850)));
+    let before = ALLOC.allocations();
+    let routing = world.route(trace);
+    let allocs = ALLOC.allocations() - before;
+    let routed: usize = routing.sub_traces.iter().map(Trace::len).sum();
+    assert_eq!(routed, trace.len());
+    (allocs, routed as u64)
+}
+
+/// `runner` returns (allocations, work units): events for the simulation
+/// regimes, routed requests for the routing pass.
 fn assert_pinned_by(
     label: &str,
     small_trace: &Trace,
@@ -142,8 +163,8 @@ fn assert_pinned_by(
     let per_event = extra_allocs as f64 / extra_events as f64;
     assert!(
         per_event < budget,
-        "{label}: steady-state allocation rate {per_event:.4}/event \
-         ({extra_allocs} extra allocations over {extra_events} extra events)"
+        "{label}: steady-state allocation rate {per_event:.4}/unit \
+         ({extra_allocs} extra allocations over {extra_events} extra units)"
     );
 }
 
@@ -191,6 +212,14 @@ fn main() {
         &trace(60_000, 0.6),
         0.02,
         run_recorded_spans,
+    );
+    // Rack routing pass: one allocation per request would read as 1.0.
+    assert_pinned_by(
+        "rack-route",
+        &trace(20_000, 0.6),
+        &trace(60_000, 0.6),
+        0.01,
+        run_route,
     );
     println!("alloc_budget(altocumulus): all regimes pinned");
 }

@@ -111,10 +111,11 @@ fn one_group_loses_every_worker() {
 }
 
 /// Every worker of every group dead at 2 µs. Only requests finished by
-/// then complete; the emergency drain bounces the stranded queues between
-/// workerless groups until the stall bound stops the managers' timers. The
-/// bound counts ticks, not requests, so the mesh is kept to two groups and
-/// each attachment gets its own test to stay quick in debug builds.
+/// then complete; the stranded queues stay put (the emergency drain has no
+/// peer with a live worker to evacuate to) until the stall bound stops the
+/// managers' timers. The bound counts ticks, not requests, so the mesh is
+/// kept to two groups and each attachment gets its own test to stay quick
+/// in debug builds.
 fn every_worker_dead(cfg: AcConfig) {
     let t = trace(cfg.total_cores(), 0.6, 5_000);
     let mut cfg = cfg;
@@ -122,12 +123,21 @@ fn every_worker_dead(cfg: AcConfig) {
         worker_failures: workers_dead(0..cfg.groups, cfg.group_size, 2),
         ..FaultPlan::default()
     };
-    let n = conserved(&Altocumulus::new(cfg).run_detailed(&t).system, &t);
+    let r = Altocumulus::new(cfg).run_detailed(&t);
+    let n = conserved(&r.system, &t);
     assert!(
         n < t.len(),
         "{n} of {} completed with no live worker",
         t.len()
     );
+    // The stall bound's 100k ticks plus the trace's own events, and no
+    // MIGRATE traffic between workerless groups on top.
+    assert!(
+        r.summary.events < 150_000,
+        "{} events: stranded queues are bouncing between workerless groups",
+        r.summary.events
+    );
+    assert_eq!(r.faults.emergency_migrations, 0);
 }
 
 #[test]

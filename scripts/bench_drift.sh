@@ -28,6 +28,7 @@ KEYS = [
     "altocumulus_int_32x32_elided",
     "altocumulus_int_16x16_event_driven",
     "rack_4x16_ac",
+    "rack_4x16_ac_faults",
     "nebula_jbsq",
 ]
 THRESHOLD = 1.25
