@@ -20,7 +20,7 @@ fn bench_event_queue(c: &mut Criterion) {
             .map(|_| SimTime::from_ns(rng.random_range(0..1_000_000)))
             .collect();
         b.iter(|| {
-            let mut q = EventQueue::with_capacity(1024);
+            let mut q = EventQueue::new();
             for (i, &t) in times.iter().enumerate() {
                 q.push(t, i);
             }

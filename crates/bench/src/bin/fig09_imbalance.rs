@@ -80,7 +80,7 @@ impl World for GroupedWorld<'_> {
 
 fn run_policy(trace: &Trace, mut steering: Steering, slo: SimDuration) -> Vec<[u32; GROUPS]> {
     let mut rng = stream_rng(0, streams::NIC);
-    let mut q = EventQueue::with_capacity(trace.len() * 2);
+    let mut q = EventQueue::new();
     for (idx, req) in trace.iter().enumerate() {
         let g = steering.steer(req.conn, GROUPS, &mut rng);
         q.push(req.arrival, Ev::Arrive(g, idx));

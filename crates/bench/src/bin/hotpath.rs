@@ -177,8 +177,9 @@ fn main() {
     // Hand-rolled JSON (no serde in the workspace). The "prior" block holds
     // the pre-change numbers measured on the same machine for this trace:
     // criterion medians from the PR-1 build, and the upfront pre-push queue
-    // population (every arrival resident at t=0), plus the faulted rack row
-    // before its threshold/routing/merge speed-up.
+    // population (every arrival resident at t=0), the faulted rack row
+    // before its threshold/routing/merge speed-up, and the mesh rows before
+    // branch-free hot-path selection.
     println!("{{");
     println!(
         "  \"config_64\": \"20k requests, 64 cores, load 0.8, fixed 850ns, 16 conns, seed 1\","
@@ -206,6 +207,20 @@ fn main() {
     println!("    \"nebula_jbsq\": {{ \"wall_ms\": 7.88 }},");
     println!("    \"rack_4x16_ac_faults\": {{ \"wall_ms\": 13.33, \"events\": 78459, \"hw_threads\": 2 }},");
     println!("    \"rack_4x16_ac_faults_note\": \"before the tick's threshold skip, allocation-free ToR routing and the k-way rack merge: best of 3 runs x 7 on the same host\",");
+    println!("    \"before_branch_free\": {{");
+    println!("      \"altocumulus_int_4x16\": {{ \"wall_ms\": 8.08, \"ns_per_event\": 119.6 }},");
+    println!("      \"altocumulus_int_16x16_elided\": {{ \"wall_ms\": 17.79, \"ns_per_event\": 129.1 }},");
+    println!(
+        "      \"altocumulus_int_16x16_exp\": {{ \"wall_ms\": 17.36, \"ns_per_event\": 127.0 }},"
+    );
+    println!("      \"altocumulus_int_32x32_elided\": {{ \"wall_ms\": 55.74, \"ns_per_event\": 225.2 }},");
+    println!("      \"altocumulus_int_16x16_event_driven\": {{ \"wall_ms\": 40.77, \"ns_per_event\": 107.4 }},");
+    println!("      \"rack_4x16_ac\": {{ \"wall_ms\": 9.58, \"ns_per_event\": 123.9 }},");
+    println!("      \"rack_4x16_ac_faults\": {{ \"wall_ms\": 9.46, \"ns_per_event\": 120.6 }},");
+    println!("      \"nebula_jbsq\": {{ \"wall_ms\": 6.55 }},");
+    println!("      \"hw_threads\": 2,");
+    println!("      \"note\": \"before the u128-key bucket minimum, the idle-bitset OccTable, the count-based planner inserts and the libm-free rounding: best of 3 runs x 7, interleaved with the change on the same host\"");
+    println!("    }},");
     println!("    \"note\": \"criterion medians before streaming arrivals + scratch reuse; peak queue was O(trace): all 20k arrivals pre-pushed\"");
     println!("  }}");
     println!("}}");

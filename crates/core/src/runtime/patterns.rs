@@ -220,13 +220,7 @@ fn plan_with_patterns(
         let (mut max1, mut max2) = (hi, lo);
         for (i, &len) in q.iter().enumerate().skip(2) {
             let key = (len, i as u32);
-            if small.len() < k_small || key < *small.last().expect("non-empty") {
-                let pos = small.partition_point(|&e| e < key);
-                if small.len() == k_small {
-                    small.pop();
-                }
-                small.insert(pos, key);
-            }
+            keep_smallest(small, k_small, key);
             if key > max2 {
                 if key > max1 {
                     max2 = max1;
@@ -338,14 +332,7 @@ fn plan_with_patterns(
     let small = &mut scratch.small;
     small.clear();
     for (i, &len) in q.iter().enumerate() {
-        let key = (len, i as u32);
-        if small.len() < k_small || key < *small.last().expect("non-empty") {
-            let pos = small.partition_point(|&e| e < key);
-            if small.len() == k_small {
-                small.pop();
-            }
-            small.insert(pos, key);
-        }
+        keep_smallest(small, k_small, (len, i as u32));
     }
     let large = &mut scratch.large;
     large.clear();
@@ -382,14 +369,56 @@ fn plan_with_patterns(
 /// periods alone.
 fn rank_large_into(q: &[u32], k: usize, large: &mut Vec<(u32, u32)>) {
     for (i, &len) in q.iter().enumerate() {
-        let key = (len, i as u32);
-        if large.len() < k || key > *large.last().expect("non-empty") {
-            let pos = large.partition_point(|&e| e > key);
-            if large.len() == k {
-                large.pop();
-            }
-            large.insert(pos, key);
+        keep_largest(large, k, (len, i as u32));
+    }
+}
+
+/// A `(len, index)` key packed into one `u64` whose integer order is the
+/// key's lexicographic order.
+#[inline]
+fn packed((len, idx): (u32, u32)) -> u64 {
+    ((len as u64) << 32) | idx as u64
+}
+
+/// Position of `key` in the ascending buffer `buf`: the number of entries
+/// below it. Buffers hold at most `concurrency + 2` keys, so a branch-free
+/// count over all of them beats a binary search whose every probe is a
+/// data-dependent branch.
+#[inline]
+fn rank_ascending(buf: &[(u32, u32)], key: (u32, u32)) -> usize {
+    let key = packed(key);
+    buf.iter().map(|&e| (packed(e) < key) as usize).sum()
+}
+
+/// Position of `key` in the descending buffer `buf` (see
+/// [`rank_ascending`]).
+#[inline]
+fn rank_descending(buf: &[(u32, u32)], key: (u32, u32)) -> usize {
+    let key = packed(key);
+    buf.iter().map(|&e| (packed(e) > key) as usize).sum()
+}
+
+/// Offers `key` to `buf`, the ascending `k` smallest keys seen so far.
+#[inline]
+fn keep_smallest(buf: &mut Vec<(u32, u32)>, k: usize, key: (u32, u32)) {
+    if buf.len() < k || packed(key) < packed(*buf.last().expect("non-empty")) {
+        let pos = rank_ascending(buf, key);
+        if buf.len() == k {
+            buf.pop();
         }
+        buf.insert(pos, key);
+    }
+}
+
+/// Offers `key` to `buf`, the descending `k` largest keys seen so far.
+#[inline]
+fn keep_largest(buf: &mut Vec<(u32, u32)>, k: usize, key: (u32, u32)) {
+    if buf.len() < k || packed(key) > packed(*buf.last().expect("non-empty")) {
+        let pos = rank_descending(buf, key);
+        if buf.len() == k {
+            buf.pop();
+        }
+        buf.insert(pos, key);
     }
 }
 
@@ -540,20 +569,8 @@ impl SharedExtremes {
         self.large.clear();
         for (i, &len) in q.iter().enumerate() {
             let key = (len, i as u32);
-            if self.small.len() < k_small || key < *self.small.last().expect("non-empty") {
-                let pos = self.small.partition_point(|&e| e < key);
-                if self.small.len() == k_small {
-                    self.small.pop();
-                }
-                self.small.insert(pos, key);
-            }
-            if self.large.len() < k_large || key > *self.large.last().expect("non-empty") {
-                let pos = self.large.partition_point(|&e| e > key);
-                if self.large.len() == k_large {
-                    self.large.pop();
-                }
-                self.large.insert(pos, key);
-            }
+            keep_smallest(&mut self.small, k_small, key);
+            keep_largest(&mut self.large, k_large, key);
         }
     }
 }
@@ -562,21 +579,22 @@ impl SharedExtremes {
 /// replaced by its live `my_len` — equivalent to [`plan_migrations_into`]
 /// (`use_patterns: true`) or [`plan_threshold_only_into`] (`false`) on the
 /// overlaid array, but O(concurrency) per call: `ext` must have been
-/// [`SharedExtremes::rank`]ed over the shared array this period, and
-/// `old_len` must be the value `me` held in it.
+/// [`SharedExtremes::rank`]ed over the shared array this period.
 ///
 /// Exactness of the patch: any non-`me` element among the k smallest of the
 /// overlaid array has at most `k - 1` overlaid elements below it, hence at
 /// most `k` shared ones (the old `me` key may sit anywhere), so it is
 /// already in `ext`'s `k + 1`-deep buffer. Removing the old key and
 /// inserting the live one therefore yields a superset of the true k-end,
-/// and truncation restores the exact full-sort contents and order.
+/// and truncation restores the exact full-sort contents and order. The old
+/// key is the buffer's only entry with index `me`, so it is removed by that
+/// index alone; inserting the live key unconditionally and truncating
+/// leaves the same k-end as inserting only when it ranks inside it.
 #[allow(clippy::too_many_arguments)]
 pub fn plan_patched_into(
     me: usize,
     my_len: u32,
     n: usize,
-    old_len: u32,
     ext: &SharedExtremes,
     threshold: usize,
     bulk: usize,
@@ -593,31 +611,18 @@ pub fn plan_patched_into(
     }
     let k_small = (concurrency + 1).max(2).min(n);
     let k_large = concurrency.max(2).min(n);
-    let old_key = (old_len, me as u32);
     let new_key = (my_len, me as u32);
 
     let small = &mut scratch.small;
     small.clear();
-    small.extend_from_slice(&ext.small);
-    if let Ok(pos) = small.binary_search(&old_key) {
-        small.remove(pos);
-    }
-    if small.len() < k_small || new_key < *small.last().expect("non-empty") {
-        let pos = small.partition_point(|&e| e < new_key);
-        small.insert(pos, new_key);
-    }
+    small.extend(ext.small.iter().filter(|e| e.1 != me as u32));
+    small.insert(rank_ascending(small, new_key), new_key);
     small.truncate(k_small);
 
     let large = &mut scratch.large;
     large.clear();
-    large.extend_from_slice(&ext.large);
-    if let Ok(pos) = large.binary_search_by(|e| old_key.cmp(e)) {
-        large.remove(pos);
-    }
-    if large.len() < k_large || new_key > *large.last().expect("non-empty") {
-        let pos = large.partition_point(|&e| e > new_key);
-        large.insert(pos, new_key);
-    }
+    large.extend(ext.large.iter().filter(|e| e.1 != me as u32));
+    large.insert(rank_descending(large, new_key), new_key);
     large.truncate(k_large);
 
     let pattern = classification_of(use_patterns, bulk, small, large);
@@ -751,6 +756,46 @@ mod tests {
                 &mut got,
             );
             proptest::prop_assert_eq!(got, reference);
+        }
+    }
+
+    proptest::proptest! {
+        /// The patched planner gives exactly the scan planners' orders on
+        /// the overlaid array — checked here, in every build profile, not
+        /// only by the engine's debug-build cross-check. Tie-heavy lengths,
+        /// every manager as `me` (so `me` takes every rank), a live length
+        /// that always differs from the shared one, and concurrency up to
+        /// `n`.
+        #[test]
+        fn patched_planner_matches_scan_planners(
+            shared in proptest::collection::vec(0u32..8, 2..40),
+            shift in 1u32..8,
+            threshold in 0usize..10,
+            bulk in 1usize..40,
+            concurrency_raw in 0usize..40,
+        ) {
+            let n = shared.len();
+            let concurrency = 1 + concurrency_raw % n;
+            let mut ext = SharedExtremes::default();
+            ext.rank(&shared, concurrency);
+            let mut scratch = PlanScratch::default();
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            for me in 0..n {
+                let my_len = (shared[me] + shift) % 8;
+                let mut q = shared.clone();
+                q[me] = my_len;
+                for use_patterns in [true, false] {
+                    plan_patched_into(
+                        me, my_len, n, &ext, threshold, bulk, concurrency, use_patterns,
+                        &mut scratch, &mut got,
+                    );
+                    plan_with_patterns(
+                        me, &q, threshold, bulk, concurrency, use_patterns,
+                        &mut PlanScratch::default(), &mut want,
+                    );
+                    proptest::prop_assert_eq!(&got, &want, "me {} patterns {}", me, use_patterns);
+                }
+            }
         }
     }
 

@@ -346,7 +346,7 @@ mod tests {
                 plan_threshold_only_into(me, &q, t, bulk, concurrency, scratch, &mut out[1]);
                 for (use_patterns, o) in [(true, 2), (false, 3)] {
                     plan_patched_into(
-                        me, own as u32, q.len(), old_len, &ext, t, bulk, concurrency,
+                        me, own as u32, q.len(), &ext, t, bulk, concurrency,
                         use_patterns, scratch, &mut out[o],
                     );
                 }

@@ -24,7 +24,7 @@ use crate::telemetry::span;
 use interconnect::noc::MeshNoc;
 use interconnect::offchip::MemoryModel;
 use rpcstack::nic::{NicModel, Transfer};
-use schedulers::common::{QueuedRequest, RpcSystem, SystemResult};
+use schedulers::common::{OccTable, QueuedRequest, RpcSystem, SystemResult};
 use simcore::event::{run_streamed, EventQueue, RunSummary, StreamInjector, World};
 use simcore::faults::{NocDecision, NocFaultRng};
 use simcore::rng::{stream_rng, streams, BatchedRng, CountingRng};
@@ -278,6 +278,7 @@ impl Altocumulus {
             Some(Box::new(FaultState {
                 noc: cfg.faults.noc_rng(),
                 dead: vec![vec![false; cfg.workers_per_group()]; cfg.groups],
+                live_workers: cfg.groups * cfg.workers_per_group(),
                 epoch: vec![vec![0; cfg.workers_per_group()]; cfg.groups],
                 mgr_dead: vec![false; cfg.groups],
                 heir: vec![None; cfg.groups],
@@ -296,7 +297,7 @@ impl Altocumulus {
                 stage_hint: 0,
                 running: vec![None; cfg.workers_per_group()],
                 waiting: vec![VecDeque::new(); cfg.workers_per_group()],
-                occ: vec![0; cfg.workers_per_group()],
+                occ: OccTable::new(cfg.workers_per_group()),
                 busy: 0,
                 slab: Slab::new(),
                 mgr_busy_until: SimTime::ZERO,
@@ -642,11 +643,10 @@ struct Group {
     stage_hint: u32,
     running: Vec<Option<QueuedRequest>>,
     waiting: Vec<VecDeque<QueuedRequest>>,
-    /// Maintained occupancy (`running + waiting + in-transit`) per worker;
-    /// `u32::MAX` marks a dead worker so [`Group::free_worker`] is a single
-    /// branch-free argmin over one dense row. Kept in lockstep by the
-    /// dispatch/done handlers instead of being recomputed per dispatch.
-    occ: Vec<u32>,
+    /// Maintained occupancy (`running + waiting + in-transit`) per worker,
+    /// with dead workers marked. Kept in lockstep by the dispatch/done
+    /// handlers instead of being recomputed per dispatch.
+    occ: OccTable,
     /// Sum of `occ` over live workers plus in-transit descriptors headed at
     /// dead workers (which still bounce): the group's total outstanding
     /// work. Replaces three O(workers) scans in the quiescence check and
@@ -728,21 +728,6 @@ struct UpdRec {
 }
 
 impl Group {
-    /// Least-loaded worker with occupancy below `bound`: a single argmin
-    /// over the maintained `occ` row. Dead workers sit at `u32::MAX`, which
-    /// `occ < bound` excludes for free (`bound` is the small `local_bound`).
-    /// Ties keep the lowest-index worker, matching the first-minimal
-    /// semantics of `min_by_key`.
-    fn free_worker(&self, bound: u32) -> Option<usize> {
-        let mut best: Option<(u32, usize)> = None; // (occupancy, worker)
-        for (w, &occ) in self.occ.iter().enumerate() {
-            if occ < bound && best.is_none_or(|(b, _)| occ < b) {
-                best = Some((occ, w));
-            }
-        }
-        best.map(|(_, w)| w)
-    }
-
     /// Pushes onto NetRX, maintaining the `stage_hint` tail-run invariant:
     /// a migrated entry extends the known run, anything else breaks it.
     fn push_netrx(&mut self, qr: QueuedRequest) {
@@ -891,6 +876,9 @@ struct FaultState {
     noc: Option<NocFaultRng>,
     /// Dead flags per `[group][worker]`.
     dead: Vec<Vec<bool>>,
+    /// Workers not yet dead, over every group. At zero no request can ever
+    /// complete again, so the managers stop re-arming their timers.
+    live_workers: usize,
     /// Liveness epoch per `[group][worker]`; bumped on death so in-flight
     /// `WorkerDone` events from the pre-death service are recognized stale.
     epoch: Vec<Vec<u32>>,
@@ -1479,11 +1467,14 @@ impl<S: TelemetrySink> AcWorld<'_, S> {
                 if grp.netrx.is_empty() {
                     return;
                 }
-                let Some(w) = grp.free_worker(cfg.local_bound as u32) else {
+                let Some(w) = grp
+                    .occ
+                    .argmin_under(0..cfg.workers_per_group(), cfg.local_bound as u32)
+                else {
                     return;
                 };
                 let qr = grp.netrx.pop_front().expect("checked non-empty");
-                grp.occ[w] += 1;
+                grp.occ.incr(w);
                 grp.busy += 1;
                 self.tel
                     .span_point(qr.idx as u32, span::DISPATCH, worker_core(cfg, g, w), now);
@@ -1510,11 +1501,14 @@ impl<S: TelemetrySink> AcWorld<'_, S> {
                     if grp.netrx.is_empty() {
                         break;
                     }
-                    let Some(w) = grp.free_worker(cfg.local_bound as u32) else {
+                    let Some(w) = grp
+                        .occ
+                        .argmin_under(0..cfg.workers_per_group(), cfg.local_bound as u32)
+                    else {
                         break;
                     };
                     let qr = grp.netrx.pop_front().expect("checked non-empty");
-                    grp.occ[w] += 1;
+                    grp.occ.incr(w);
                     grp.busy += 1;
                     self.tel
                         .span_point(qr.idx as u32, span::DISPATCH, worker_core(cfg, g, w), now);
@@ -1583,7 +1577,7 @@ impl<S: TelemetrySink> AcWorld<'_, S> {
     fn worker_done(&mut self, g: usize, w: usize, now: SimTime, q: &mut EventQueue<Ev>) {
         let grp = &mut self.groups[g];
         let qr = grp.running[w].take().expect("done on idle worker");
-        grp.occ[w] -= 1;
+        grp.occ.decr(w);
         grp.busy -= 1;
         let core = worker_core(self.cfg, g, w);
         self.tel
@@ -1629,6 +1623,7 @@ impl<S: TelemetrySink> AcWorld<'_, S> {
         self.wake_group(g, now, None, q);
         {
             let fs = self.faults.as_mut().expect("fault event without plan");
+            fs.live_workers -= usize::from(!fs.dead[g][w]);
             fs.dead[g][w] = true;
             fs.epoch[g][w] += 1;
             fs.stats.worker_failures += 1;
@@ -1636,12 +1631,12 @@ impl<S: TelemetrySink> AcWorld<'_, S> {
         {
             // The dead worker's running/waiting load leaves the group's
             // outstanding count now; descriptors still in transit stay
-            // counted until their `Deliver` bounces. The `u32::MAX` sentinel
-            // removes the worker from every future dispatch argmin.
+            // counted until their `Deliver` bounces. Marking the worker dead
+            // removes it from every future dispatch argmin.
             let grp = &mut self.groups[g];
             let drained = grp.running[w].is_some() as u32 + grp.waiting[w].len() as u32;
             grp.busy -= drained;
-            grp.occ[w] = u32::MAX;
+            grp.occ.mark_dead(w);
         }
         let mut tgt = g;
         if let Some(qr) = self.groups[g].running[w].take() {
@@ -1993,7 +1988,6 @@ impl<S: TelemetrySink> AcWorld<'_, S> {
                     g,
                     own_len,
                     q_view.len(),
-                    self.upd_gq[g],
                     &self.scratch.shared_ext,
                     threshold,
                     cfg.bulk,
@@ -2180,8 +2174,11 @@ impl<S: TelemetrySink> AcWorld<'_, S> {
         //    cost exceeds P (e.g. the MSR interface at aggressive periods)
         //    degrades dispatch throughput but can never consume the whole
         //    manager — matching a real software loop, which alternates
-        //    between runtime work and dispatching.
-        if self.completed < self.trace.len() {
+        //    between runtime work and dispatching. Once every worker of
+        //    every group is dead nothing can complete again, so the timer
+        //    stops at once instead of idling out the stall bound.
+        let workers_left = self.faults.as_ref().is_none_or(|fs| fs.live_workers > 0);
+        if self.completed < self.trace.len() && workers_left {
             if self.completed == self.last_completed_at_tick {
                 self.stalled_ticks += 1;
                 if self.faults.is_some() {

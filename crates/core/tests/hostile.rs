@@ -112,10 +112,8 @@ fn one_group_loses_every_worker() {
 
 /// Every worker of every group dead at 2 µs. Only requests finished by
 /// then complete; the stranded queues stay put (the emergency drain has no
-/// peer with a live worker to evacuate to) until the stall bound stops the
-/// managers' timers. The bound counts ticks, not requests, so the mesh is
-/// kept to two groups and each attachment gets its own test to stay quick
-/// in debug builds.
+/// peer with a live worker to evacuate to), and the managers' timers stop
+/// at their first tick after the last worker dies.
 fn every_worker_dead(cfg: AcConfig) {
     let t = trace(cfg.total_cores(), 0.6, 5_000);
     let mut cfg = cfg;
@@ -130,11 +128,13 @@ fn every_worker_dead(cfg: AcConfig) {
         "{n} of {} completed with no live worker",
         t.len()
     );
-    // The stall bound's 100k ticks plus the trace's own events, and no
-    // MIGRATE traffic between workerless groups on top.
+    // The trace's own events plus the few ticks and deliveries before the
+    // deaths (5 133 for ACint, 5 144 for ACrss): no tick keeps spinning
+    // once no worker is left, and no MIGRATE traffic between workerless
+    // groups on top.
     assert!(
-        r.summary.events < 150_000,
-        "{} events: stranded queues are bouncing between workerless groups",
+        r.summary.events < t.len() as u64 + 200,
+        "{} events: ticks or migrations outlived the last worker",
         r.summary.events
     );
     assert_eq!(r.faults.emergency_migrations, 0);

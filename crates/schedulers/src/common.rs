@@ -126,7 +126,10 @@ pub trait RpcSystem {
 /// One `u32` per core, so a whole 16-core domain's occupancy fits in a
 /// single cache line; the payload vectors are only touched for the one
 /// core a decision lands on. Dead cores are folded into the same word as
-/// a sentinel, so liveness checks cost no second array.
+/// a sentinel, so liveness checks cost no second array. An idle bitset
+/// (one bit per core, set iff the core is live with occupancy zero) is
+/// kept beside it, so the common "is any core idle?" question is a
+/// `trailing_zeros` instead of a data-dependent compare loop.
 ///
 /// All counts are maintained incrementally by the caller; the table has no
 /// opinion about what "occupancy" means (running + local + in-flight for
@@ -134,6 +137,9 @@ pub trait RpcSystem {
 #[derive(Debug, Clone)]
 pub struct OccTable {
     occ: Vec<u32>,
+    /// Bit `c % 64` of word `c / 64` is set iff core `c` is live and has
+    /// occupancy zero. Kept in lockstep by `incr`, `decr` and `mark_dead`.
+    idle: Vec<u64>,
 }
 
 /// Sentinel occupancy of a failed core: never under any bound, never the
@@ -143,7 +149,14 @@ const DEAD: u32 = u32::MAX;
 impl OccTable {
     /// A table of `n` idle, live cores.
     pub fn new(n: usize) -> Self {
-        OccTable { occ: vec![0; n] }
+        let mut idle = vec![0u64; n.div_ceil(64)];
+        for core in 0..n {
+            idle[core / 64] |= 1 << (core % 64);
+        }
+        OccTable {
+            occ: vec![0; n],
+            idle,
+        }
     }
 
     /// Current occupancy of a live core.
@@ -156,6 +169,7 @@ impl OccTable {
     pub fn incr(&mut self, core: usize) {
         debug_assert_ne!(self.occ[core], DEAD, "incr on a dead core");
         self.occ[core] += 1;
+        self.idle[core / 64] &= !(1 << (core % 64));
     }
 
     /// Removes one from a live core's occupancy.
@@ -163,11 +177,13 @@ impl OccTable {
         debug_assert_ne!(self.occ[core], DEAD, "decr on a dead core");
         debug_assert_ne!(self.occ[core], 0, "occupancy underflow");
         self.occ[core] -= 1;
+        self.idle[core / 64] |= ((self.occ[core] == 0) as u64) << (core % 64);
     }
 
     /// Marks a core fail-stopped: it drops out of every scan from now on.
     pub fn mark_dead(&mut self, core: usize) {
         self.occ[core] = DEAD;
+        self.idle[core / 64] &= !(1 << (core % 64));
     }
 
     /// Whether `core` has been marked dead.
@@ -178,29 +194,57 @@ impl OccTable {
     /// First core in `range` whose occupancy is minimal among those below
     /// `bound`, or `None` when every live core is at the bound. Ties
     /// resolve to the lowest index — the same answer as
-    /// `range.filter(|c| live && occ < bound).min_by_key(occ)` — and the
-    /// scan exits early on a zero, so a mostly-idle mesh answers in O(1).
+    /// `range.filter(|c| live && occ < bound).min_by_key(occ)`.
+    ///
+    /// An idle core has the smallest possible occupancy and the lowest set
+    /// idle bit is the lowest such index, so the bitset answers whenever any
+    /// core in `range` is idle. Only a range with no idle core (and a bound
+    /// that admits busy ones) falls back to scanning occupancies, as a
+    /// select-based minimum over `(occupancy, core)` packed into one `u64`.
     pub fn argmin_under(&self, range: std::ops::Range<usize>, bound: u32) -> Option<usize> {
-        let mut best: Option<(u32, usize)> = None;
+        if bound == 0 {
+            return None;
+        }
+        if let Some(core) = self.first_idle(range.clone()) {
+            return Some(core);
+        }
+        if bound == 1 {
+            return None;
+        }
+        let mut best = u64::MAX;
         for core in range {
             let occ = self.occ[core];
-            if occ >= bound {
-                continue; // covers DEAD: the sentinel is never under a bound
-            }
-            if occ == 0 {
-                return Some(core);
-            }
-            if best.is_none_or(|(b, _)| occ < b) {
-                best = Some((occ, core));
-            }
+            // `DEAD` is never under a bound, so dead cores drop out here.
+            let key = if occ < bound {
+                ((occ as u64) << 32) | core as u64
+            } else {
+                u64::MAX
+            };
+            best = best.min(key);
         }
-        best.map(|(_, core)| core)
+        (best != u64::MAX).then_some(best as u32 as usize)
     }
 
-    /// First idle live core in `range` (occupancy zero), or `None`.
-    /// Equivalent to `range.position(is_idle)` at the same early-exit cost.
+    /// First idle live core in `range` (occupancy zero), or `None`: the
+    /// lowest set idle bit at or past `range.start`, word by word.
     pub fn first_idle(&self, range: std::ops::Range<usize>) -> Option<usize> {
-        self.argmin_under(range, 1)
+        if range.is_empty() {
+            return None;
+        }
+        let mut word = range.start / 64;
+        let mut bits = self.idle[word] & (u64::MAX << (range.start % 64));
+        loop {
+            if bits != 0 {
+                // The lowest set bit past the start: in range iff any is.
+                let core = word * 64 + bits.trailing_zeros() as usize;
+                return (core < range.end).then_some(core);
+            }
+            word += 1;
+            if word * 64 >= range.end {
+                return None;
+            }
+            bits = self.idle[word];
+        }
     }
 }
 
@@ -302,6 +346,88 @@ mod tests {
         t.mark_dead(1);
         t.mark_dead(2);
         assert_eq!(t.argmin_under(0..3, u32::MAX - 1), None);
+    }
+
+    /// The linear scan `argmin_under` replaced, kept as its oracle.
+    fn argmin_under_scan(occ: &[u32], range: std::ops::Range<usize>, bound: u32) -> Option<usize> {
+        let mut best: Option<(u32, usize)> = None;
+        for core in range {
+            let occ = occ[core];
+            if occ >= bound {
+                continue; // covers DEAD: the sentinel is never under a bound
+            }
+            if occ == 0 {
+                return Some(core);
+            }
+            if best.is_none_or(|(b, _)| occ < b) {
+                best = Some((occ, core));
+            }
+        }
+        best.map(|(_, core)| core)
+    }
+
+    /// One random operation on an `OccTable`: `(kind, core)` with kind in
+    /// `0..10`. Increments outnumber decrements two to one, so tables fill
+    /// up and ranges without an idle core (the scan fallback) are common;
+    /// one kind in ten kills the core.
+    fn apply(t: &mut OccTable, kind: u8, core: usize) {
+        if t.is_dead(core) {
+            return;
+        }
+        match kind {
+            0..=5 => t.incr(core),
+            6..=8 if t.get(core) > 0 => t.decr(core),
+            9 => t.mark_dead(core),
+            _ => {}
+        }
+    }
+
+    proptest::proptest! {
+        /// The bitset answers exactly like the linear scan on tables that
+        /// cross the 64- and 128-core word boundaries, over ranges that
+        /// start or end mid-word (or are empty) and bounds 1 to 4.
+        #[test]
+        fn occ_table_bitset_matches_scan(
+            n in 1usize..131,
+            ops in proptest::collection::vec(
+                (0u8..10, 0usize..1000),
+                0..600,
+            ),
+            queries in proptest::collection::vec((0usize..1000, 0usize..1000, 1u32..5), 1..16),
+        ) {
+            let mut t = OccTable::new(n);
+            for (i, &(kind, core)) in ops.iter().enumerate() {
+                apply(&mut t, kind, core % n);
+                // Check a query after every few operations, not just at
+                // the end, so every intermediate table is covered.
+                if i % 8 == 0 {
+                    let (a, b, bound) = queries[i % queries.len()];
+                    let (lo, hi) = (a % (n + 1), b % (n + 1));
+                    let range = lo.min(hi)..lo.max(hi);
+                    proptest::prop_assert_eq!(
+                        t.argmin_under(range.clone(), bound),
+                        argmin_under_scan(&t.occ, range.clone(), bound)
+                    );
+                    proptest::prop_assert_eq!(
+                        t.first_idle(range.clone()),
+                        argmin_under_scan(&t.occ, range, 1)
+                    );
+                }
+            }
+            for &(a, b, bound) in &queries {
+                let (lo, hi) = (a % (n + 1), b % (n + 1));
+                for range in [lo.min(hi)..lo.max(hi), 0..n, lo..lo] {
+                    proptest::prop_assert_eq!(
+                        t.argmin_under(range.clone(), bound),
+                        argmin_under_scan(&t.occ, range.clone(), bound)
+                    );
+                    proptest::prop_assert_eq!(
+                        t.first_idle(range.clone()),
+                        argmin_under_scan(&t.occ, range, 1)
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -29,6 +29,35 @@ struct Scheduled<E> {
     event: E,
 }
 
+impl<E> Scheduled<E> {
+    /// `(time, seq)` packed into one integer: `time` in the high 64 bits,
+    /// `seq` in the low 64. Integer order on the key is exactly the
+    /// lexicographic `(time, seq)` order, so a minimum over keys is the
+    /// queue's pop order without a data-dependent tuple-compare branch.
+    #[inline]
+    fn key(&self) -> u128 {
+        ((self.time.as_ps() as u128) << 64) | self.seq as u128
+    }
+}
+
+/// Index and key of the `(time, seq)`-earliest entry of a non-empty bucket.
+///
+/// The running minimum is kept with selects rather than a branch: which
+/// entry of a bucket is earliest is data-dependent noise to the branch
+/// predictor, and this scan runs on every pop.
+#[inline]
+fn bucket_min<E>(bucket: &[Scheduled<E>]) -> (usize, u128) {
+    let mut best = 0;
+    let mut best_key = bucket[0].key();
+    for (i, s) in bucket.iter().enumerate().skip(1) {
+        let key = s.key();
+        let earlier = key < best_key;
+        best = if earlier { i } else { best };
+        best_key = best_key.min(key);
+    }
+    (best, best_key)
+}
+
 impl<E> PartialEq for Scheduled<E> {
     fn eq(&self, other: &Self) -> bool {
         self.time == other.time && self.seq == other.seq
@@ -134,12 +163,6 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue with the default geometry.
     pub fn new() -> Self {
         Self::with_geometry(DEFAULT_BUCKET_WIDTH_LOG2, DEFAULT_NUM_BUCKETS)
-    }
-
-    /// Creates an empty queue; `capacity` is a hint carried over from the
-    /// heap-based API (ring buckets grow on demand, so it is advisory only).
-    pub fn with_capacity(_capacity: usize) -> Self {
-        Self::new()
     }
 
     /// Creates an empty queue with `1 << width_log2` picoseconds per bucket
@@ -272,14 +295,7 @@ impl<E> EventQueue<E> {
             }
             // All events in this bucket share a day; the earliest overall is
             // the (time, seq)-minimum within it.
-            let bucket = &self.buckets[slot];
-            let mut best = 0;
-            for i in 1..bucket.len() {
-                let (bi, bb) = (&bucket[i], &bucket[best]);
-                if (bi.time, bi.seq) < (bb.time, bb.seq) {
-                    best = i;
-                }
-            }
+            let (best, _) = bucket_min(&self.buckets[slot]);
             return (slot, best, self.cursor_day - start_day);
         }
     }
@@ -352,8 +368,7 @@ impl<E> EventQueue<E> {
         // The overflow can only beat the ring with an event pushed behind the
         // window (time strictly earlier than every ring day).
         if let Some(head) = self.overflow.peek() {
-            let ring = &self.buckets[slot][idx];
-            if (head.time, head.seq) < (ring.time, ring.seq) {
+            if head.key() < self.buckets[slot][idx].key() {
                 return self.overflow.pop();
             }
         }
@@ -368,30 +383,19 @@ impl<E> EventQueue<E> {
 
     /// The time of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        let mut best: Option<(SimTime, u64)> = None;
-        if self.ring_len > 0 {
+        let ring = (self.ring_len > 0).then(|| {
             // Non-mutating scan from the cursor to the first non-empty bucket.
             let mut day = self.cursor_day;
-            loop {
-                let bucket = &self.buckets[self.slot_of(day)];
-                if bucket.is_empty() {
-                    day += 1;
-                    continue;
-                }
-                for s in bucket {
-                    if best.is_none_or(|b| (s.time, s.seq) < b) {
-                        best = Some((s.time, s.seq));
-                    }
-                }
-                break;
+            while self.buckets[self.slot_of(day)].is_empty() {
+                day += 1;
             }
-        }
-        if let Some(head) = self.overflow.peek() {
-            if best.is_none_or(|b| (head.time, head.seq) < b) {
-                best = Some((head.time, head.seq));
-            }
-        }
-        best.map(|(t, _)| t)
+            bucket_min(&self.buckets[self.slot_of(day)]).1
+        });
+        let head = self.overflow.peek().map(Scheduled::key);
+        ring.into_iter()
+            .chain(head)
+            .min()
+            .map(|key| SimTime::from_ps((key >> 64) as u64))
     }
 
     /// Number of pending events.

@@ -24,6 +24,9 @@ pub const PS_PER_MS: u64 = 1_000_000_000;
 /// Picoseconds per second.
 pub const PS_PER_S: u64 = 1_000_000_000_000;
 
+/// 2^64 as an `f64`: the first picosecond count a `u64` cannot hold.
+const TWO_POW_64: f64 = 18_446_744_073_709_551_616.0;
+
 /// An absolute instant of simulated time, measured in picoseconds since the
 /// start of the simulation.
 ///
@@ -133,12 +136,22 @@ impl SimDuration {
     }
 
     /// Creates a span from fractional nanoseconds, rounding to the nearest
-    /// picosecond. Negative or non-finite inputs clamp to zero.
+    /// picosecond (halves away from zero) and saturating at `u64::MAX`
+    /// picoseconds. Negative or non-finite inputs clamp to zero.
     pub fn from_ns_f64(ns: f64) -> Self {
         if !ns.is_finite() || ns <= 0.0 {
             return SimDuration::ZERO;
         }
-        SimDuration((ns * PS_PER_NS as f64).round().min(u64::MAX as f64) as u64)
+        let ps = ns * PS_PER_NS as f64;
+        if ps >= TWO_POW_64 {
+            return SimDuration(u64::MAX);
+        }
+        // `f64::round` is a libm call on the x86-64 baseline target. Round
+        // half away from zero by hand instead: `t = trunc(ps)` satisfies
+        // `t == 0` or `t <= ps < 2t`, so `ps - t` is exact (Sterbenz), and
+        // every `ps >= 2^53` is already an integer (`t == ps`, no carry).
+        let t = ps as u64;
+        SimDuration(t + (ps - t as f64 >= 0.5) as u64)
     }
 
     /// Creates a span from fractional microseconds (see [`Self::from_ns_f64`]).
@@ -334,6 +347,97 @@ mod tests {
         assert_eq!(d.as_ps(), 2_500);
         assert_eq!(SimDuration::from_ns_f64(-1.0), SimDuration::ZERO);
         assert_eq!(SimDuration::from_ns_f64(f64::NAN), SimDuration::ZERO);
+    }
+
+    /// The `f64::round`-based conversion `from_ns_f64` replaced, kept as
+    /// the oracle for its hand-rolled rounding.
+    fn from_ns_f64_oracle(ns: f64) -> SimDuration {
+        if !ns.is_finite() || ns <= 0.0 {
+            return SimDuration::ZERO;
+        }
+        SimDuration((ns * 1000.0).round().min(u64::MAX as f64) as u64)
+    }
+
+    /// A nanosecond value whose picosecond count lies `ulps - 8` ulps from
+    /// `2^e`, so small `ulps` land below the power and larger ones above.
+    fn near_pow2_ns(e: i32, ulps: u64) -> f64 {
+        f64::from_bits(2f64.powi(e).to_bits() + ulps - 8) / 1000.0
+    }
+
+    #[test]
+    fn from_ns_f64_special_values_match_oracle() {
+        let specials = [
+            0.0,
+            -0.0,
+            -1.0,
+            -0.0005,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 2.0, // subnormal
+            f64::from_bits(1),       // smallest subnormal
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            0.0005,
+            0.0015,
+            0.0025,
+            0.0004999999999999999,
+            u64::MAX as f64 / 1000.0,
+        ];
+        for ns in specials {
+            assert_eq!(
+                from_ns_f64_oracle(ns),
+                SimDuration::from_ns_f64(ns),
+                "ns={ns:e}"
+            );
+        }
+        for e in [52, 53, 63, 64] {
+            for ulps in 0..16 {
+                let ns = near_pow2_ns(e, ulps);
+                assert_eq!(
+                    from_ns_f64_oracle(ns),
+                    SimDuration::from_ns_f64(ns),
+                    "ns={ns:e} (2^{e} ps, ulps {ulps})"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Random positive values of the magnitudes the simulator converts
+        /// (up to seconds).
+        #[test]
+        fn from_ns_f64_matches_oracle_in_range(ns in 0.0f64..1e9) {
+            proptest::prop_assert_eq!(from_ns_f64_oracle(ns), SimDuration::from_ns_f64(ns));
+        }
+
+        /// Exact half-picosecond boundaries `(k + 0.5) / 1000` ns, and their
+        /// neighbours one ulp away.
+        #[test]
+        fn from_ns_f64_matches_oracle_at_half_ps(k in 0u64..(1 << 53)) {
+            let ns = (k as f64 + 0.5) / 1000.0;
+            for ns in [ns, f64::from_bits(ns.to_bits() - 1), f64::from_bits(ns.to_bits() + 1)] {
+                proptest::prop_assert_eq!(from_ns_f64_oracle(ns), SimDuration::from_ns_f64(ns));
+            }
+        }
+
+        /// Values within a few ulps of `2^52`, `2^53`, `2^63` and `2^64` ps.
+        #[test]
+        fn from_ns_f64_matches_oracle_near_powers_of_two(
+            e in 0usize..4,
+            ulps in 0u64..4096,
+        ) {
+            let ns = near_pow2_ns([52, 53, 63, 64][e], ulps);
+            proptest::prop_assert_eq!(from_ns_f64_oracle(ns), SimDuration::from_ns_f64(ns));
+        }
+
+        /// Any bit pattern: every sign and exponent, so subnormals, huge
+        /// values, negatives, NaNs and infinities all occur.
+        #[test]
+        fn from_ns_f64_matches_oracle_on_any_bits(bits in proptest::prelude::any::<u64>()) {
+            let ns = f64::from_bits(bits);
+            proptest::prop_assert_eq!(from_ns_f64_oracle(ns), SimDuration::from_ns_f64(ns));
+        }
     }
 
     #[test]

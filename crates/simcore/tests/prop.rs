@@ -74,6 +74,44 @@ proptest! {
         }
     }
 
+    /// One bucket holding more than the narrowing limit (48) of equal-time
+    /// events, mixed with near neighbours and interleaved pops: the bucket
+    /// minimum must still break every tie by push order, before, during and
+    /// after the narrowing rehashes (which cannot split an instant).
+    #[test]
+    fn dense_equal_time_bucket_matches_heap(
+        tie_ns in 0u64..5_000,
+        copies in 49usize..160,
+        others in proptest::collection::vec((0u64..6_000, any::<bool>()), 0..120),
+    ) {
+        let mut cal = EventQueue::new();
+        let mut heap = BinaryHeapQueue::new();
+        let mut id = 0usize;
+        for _ in 0..copies {
+            cal.push(SimTime::from_ns(tie_ns), id);
+            heap.push(SimTime::from_ns(tie_ns), id);
+            id += 1;
+        }
+        for &(t_ns, pop) in &others {
+            if pop {
+                prop_assert_eq!(cal.pop(), heap.pop());
+            } else {
+                cal.push(SimTime::from_ns(t_ns), id);
+                heap.push(SimTime::from_ns(t_ns), id);
+                id += 1;
+            }
+            prop_assert_eq!(cal.peek_time(), heap.peek_time());
+        }
+        loop {
+            prop_assert_eq!(cal.peek_time(), heap.peek_time());
+            let (c, h) = (cal.pop(), heap.pop());
+            prop_assert_eq!(c, h);
+            if c.is_none() {
+                break;
+            }
+        }
+    }
+
     /// The event queue always pops in non-decreasing time order, with FIFO
     /// tie-breaking.
     #[test]
