@@ -15,64 +15,20 @@ use altocumulus::telemetry::phase_table;
 use altocumulus::{AcConfig, Altocumulus};
 use bench::record::{record_artifact, record_granularity_arg, record_out_arg, scenario_runs};
 use bench::{
-    capture_telemetry, export_trace, has_flag, parallel_map, point_from, poisson_trace,
-    trace_out_arg,
+    capture_telemetry, export_trace, fig10_system, has_flag, parallel_map, point_from,
+    poisson_trace, trace_out_arg, FIG10_CORES as CORES, FIG10_SYSTEMS,
 };
 use rpcstack::stack::StackModel;
-use schedulers::central::{CentralConfig, CentralDispatch};
-use schedulers::common::RpcSystem;
-use schedulers::dfcfs::{DFcfs, DFcfsConfig};
-use schedulers::jbsq::{Jbsq, JbsqVariant};
-use schedulers::stealing::{StealingConfig, WorkStealing};
 use simcore::report::Table;
 use simcore::time::SimDuration;
 use workload::ServiceDistribution;
 
-const CORES: usize = 16;
 const REQUESTS: usize = 250_000;
-
-fn make_system(name: &str) -> Box<dyn RpcSystem> {
-    let dist = ServiceDistribution::bimodal_paper();
-    // Per §VII-A, the software systems (IX, ZygOS, Shinjuku) "rely on
-    // traditional network stacks, such as TCP/UDP" — most of their gap to
-    // the hardware schedulers is stack processing, not scheduling.
-    let tcp = StackModel::tcp_ip();
-    match name {
-        "IX" => Box::new(DFcfs::new(DFcfsConfig {
-            stack: tcp,
-            ..DFcfsConfig::ix(CORES)
-        })),
-        "ZygOS" => Box::new(WorkStealing::new(StealingConfig {
-            stack: tcp,
-            ..StealingConfig::zygos(CORES)
-        })),
-        "Shinjuku" => Box::new(CentralDispatch::new(CentralConfig {
-            stack: tcp,
-            ..CentralConfig::shinjuku(CORES)
-        })),
-        "RPCValet" => Box::new(Jbsq::new(JbsqVariant::RpcValet, CORES)),
-        "Nebula" => Box::new(Jbsq::new(JbsqVariant::Nebula, CORES)),
-        "nanoPU" => Box::new(Jbsq::new(JbsqVariant::NanoPu, CORES)),
-        // One 16-core group: the paper's group-size exploration (§VIII-B)
-        // picks 16; on a 16-core machine inter-group migration is moot and
-        // AC degenerates to its local c-FCFS tier with an eRPC-class stack.
-        "AC_rss" => {
-            let mut cfg = AcConfig::ac_rss(1, 16, dist.mean());
-            // Paired with a hardware-terminated (nanoRPC-class) stack as in
-            // the paper's end-to-end configuration (§IX-A).
-            cfg.stack = StackModel::nano_rpc();
-            Box::new(Altocumulus::new(cfg))
-        }
-        other => panic!("unknown system {other}"),
-    }
-}
 
 fn main() {
     let dist = ServiceDistribution::bimodal_paper();
     let slo = SimDuration::from_us(300);
-    let systems = [
-        "IX", "ZygOS", "Shinjuku", "RPCValet", "Nebula", "nanoPU", "AC_rss",
-    ];
+    let systems = FIG10_SYSTEMS;
     // `--quick` shrinks the sweep to a CI-sized smoke whose stdout is
     // pinned by a golden sha256 fixture (see ci.sh); keep its output
     // deterministic and in sync with ci/golden/.
@@ -101,7 +57,7 @@ fn main() {
         .collect();
     let cells = parallel_map(jobs, bench::sweep_threads(), move |(name, load)| {
         let trace = poisson_trace(dist, load, CORES, requests, 128, 10);
-        let mut sys = make_system(name);
+        let mut sys = fig10_system(name);
         let r = sys.run(&trace);
         point_from(&r, load, slo)
     });

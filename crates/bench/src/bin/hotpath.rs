@@ -9,7 +9,10 @@
 use altocumulus::telemetry::phase_table;
 use altocumulus::{AcConfig, Altocumulus, ControlPlane, RackResult, RackWorld};
 use bench::record::{rack_shape, rack_sweep_cell};
-use bench::{capture_telemetry, export_trace, trace_out_arg};
+use bench::{
+    capture_telemetry, export_trace, fig10_system, poisson_trace, trace_out_arg, FIG10_CORES,
+    FIG10_SYSTEMS,
+};
 use schedulers::common::RpcSystem;
 use schedulers::jbsq::{Jbsq, JbsqVariant};
 use simcore::time::SimDuration;
@@ -172,14 +175,42 @@ fn main() {
         nb_best_ms = nb_best_ms.min(ms);
     }
 
+    // The sparse regime: the Fig. 10 line-up on 16 cores at a light, a
+    // medium and a heavy load. At load 0.1 arrivals sit microseconds apart
+    // and the bimodal longs complete 500 µs out, so this row moves with
+    // the event queue's far-future path, which the dense mesh rows above
+    // barely touch. Best of ITERS sweeps, each summing all 21 cells.
+    let lineup_traces: Vec<workload::Trace> = [0.1, 0.5, 0.8]
+        .iter()
+        .map(|&load| {
+            let dist = ServiceDistribution::bimodal_paper();
+            poisson_trace(dist, load, FIG10_CORES, 50_000, 128, 1)
+        })
+        .collect();
+    let mut lineup_best_ms = f64::MAX;
+    for _ in 0..ITERS {
+        let mut sweep_ms = 0.0;
+        for name in FIG10_SYSTEMS {
+            for t in &lineup_traces {
+                let mut sys = fig10_system(name);
+                let start = Instant::now();
+                let r = sys.run(t);
+                sweep_ms += start.elapsed().as_secs_f64() * 1e3;
+                assert_eq!(r.completions.len(), t.len());
+            }
+        }
+        lineup_best_ms = lineup_best_ms.min(sweep_ms);
+    }
+
     let mgr_cut = 100.0 * (1.0 - big.events as f64 / big_legacy.events as f64);
 
     // Hand-rolled JSON (no serde in the workspace). The "prior" block holds
     // the pre-change numbers measured on the same machine for this trace:
     // criterion medians from the PR-1 build, and the upfront pre-push queue
     // population (every arrival resident at t=0), the faulted rack row
-    // before its threshold/routing/merge speed-up, and the mesh rows before
-    // branch-free hot-path selection.
+    // before its threshold/routing/merge speed-up, the mesh rows before
+    // branch-free hot-path selection, and every row before the sliding
+    // calendar window.
     println!("{{");
     println!(
         "  \"config_64\": \"20k requests, 64 cores, load 0.8, fixed 850ns, 16 conns, seed 1\","
@@ -189,6 +220,7 @@ fn main() {
     println!("  \"config_1024\": \"60k requests, 1024 cores (32x32 mesh, 64 groups x 16), load 0.6, fixed 850ns, 16 conns, seed 1\",");
     println!("  \"config_rack\": \"12k requests, 4 AC servers x 16 cores, load 0.8, bimodal(paper), two-level ToR routing\",");
     println!("  \"config_rack_faults\": \"12k requests, 4 AC servers x 16 cores, load 0.7, bimodal(paper), stress faults 0.25/server, hardened, server 2 dies at half the arrival span\",");
+    println!("  \"config_fig10_lineup\": \"IX, ZygOS, Shinjuku, RPCValet, Nebula, nanoPU, AC_rss on 16 cores at loads 0.1/0.5/0.8, 50k requests each, bimodal(paper), 128 conns, seed 1; wall_ms sums the 21 cells\",");
     println!("  \"iters_best_of\": {ITERS},");
     println!("  \"hw_threads\": {},", hw_threads());
     emit("altocumulus_int_4x16", &small, true);
@@ -200,6 +232,10 @@ fn main() {
     emit("rack_4x16_ac_faults", &rack_faults, true);
     println!("  \"manager_plane_event_cut_pct\": {mgr_cut:.1},");
     println!("  \"nebula_jbsq\": {{ \"wall_ms\": {nb_best_ms:.2} }},");
+    println!(
+        "  \"fig10_lineup_16c\": {{ \"wall_ms\": {lineup_best_ms:.2}, \"hw_threads\": {} }},",
+        hw_threads()
+    );
     println!("  \"prior\": {{");
     println!(
         "    \"altocumulus_int_4x16\": {{ \"wall_ms\": 12.54, \"peak_event_queue\": 20004 }},"
@@ -220,6 +256,21 @@ fn main() {
     println!("      \"nebula_jbsq\": {{ \"wall_ms\": 6.55 }},");
     println!("      \"hw_threads\": 2,");
     println!("      \"note\": \"before the u128-key bucket minimum, the idle-bitset OccTable, the count-based planner inserts and the libm-free rounding: best of 3 runs x 7, interleaved with the change on the same host\"");
+    println!("    }},");
+    println!("    \"before_sliding_window\": {{");
+    println!(
+        "      \"altocumulus_int_4x16\": {{ \"wall_ms\": 6.07, \"peak_event_queue\": 1093 }},"
+    );
+    println!("      \"altocumulus_int_16x16_elided\": {{ \"wall_ms\": 12.73, \"peak_event_queue\": 1246 }},");
+    println!("      \"altocumulus_int_16x16_exp\": {{ \"wall_ms\": 11.84, \"peak_event_queue\": 1246 }},");
+    println!("      \"altocumulus_int_32x32_elided\": {{ \"wall_ms\": 49.43, \"peak_event_queue\": 1458 }},");
+    println!("      \"altocumulus_int_16x16_event_driven\": {{ \"wall_ms\": 30.94, \"peak_event_queue\": 1483 }},");
+    println!("      \"rack_4x16_ac\": {{ \"wall_ms\": 8.45, \"peak_event_queue\": 1036 }},");
+    println!("      \"rack_4x16_ac_faults\": {{ \"wall_ms\": 8.94, \"peak_event_queue\": 1048 }},");
+    println!("      \"nebula_jbsq\": {{ \"wall_ms\": 4.39 }},");
+    println!("      \"fig10_lineup_16c\": {{ \"wall_ms\": 337.11 }},");
+    println!("      \"hw_threads\": 2,");
+    println!("      \"note\": \"before the sliding calendar window, window-bounded arrival injection and Shinjuku's one-event dispatch: best of 11 runs x 7, alternating with the change on the same host\"");
     println!("    }},");
     println!("    \"note\": \"criterion medians before streaming arrivals + scratch reuse; peak queue was O(trace): all 20k arrivals pre-pushed\"");
     println!("  }}");

@@ -11,7 +11,13 @@
 pub mod record;
 
 use altocumulus::telemetry::{chrome_trace, Telemetry};
-use schedulers::common::SystemResult;
+use altocumulus::{AcConfig, Altocumulus};
+use rpcstack::stack::StackModel;
+use schedulers::central::{CentralConfig, CentralDispatch};
+use schedulers::common::{RpcSystem, SystemResult};
+use schedulers::dfcfs::{DFcfs, DFcfsConfig};
+use schedulers::jbsq::{Jbsq, JbsqVariant};
+use schedulers::stealing::{StealingConfig, WorkStealing};
 use simcore::time::SimDuration;
 use std::path::{Path, PathBuf};
 use workload::trace::Trace;
@@ -53,6 +59,56 @@ pub fn poisson_trace(
         .connections(connections)
         .seed(seed)
         .build()
+}
+
+/// Cores of every Fig. 10 system.
+pub const FIG10_CORES: usize = 16;
+
+/// The Fig. 10 line-up, in the figure's row order.
+pub const FIG10_SYSTEMS: [&str; 7] = [
+    "IX", "ZygOS", "Shinjuku", "RPCValet", "Nebula", "nanoPU", "AC_rss",
+];
+
+/// Builds the Fig. 10 system `name` (one of [`FIG10_SYSTEMS`]) on
+/// [`FIG10_CORES`] cores, configured for the Bimodal workload.
+///
+/// # Panics
+///
+/// Panics on a name outside [`FIG10_SYSTEMS`].
+pub fn fig10_system(name: &str) -> Box<dyn RpcSystem> {
+    // Per §VII-A, the software systems (IX, ZygOS, Shinjuku) "rely on
+    // traditional network stacks, such as TCP/UDP" — most of their gap to
+    // the hardware schedulers is stack processing, not scheduling.
+    let tcp = StackModel::tcp_ip();
+    match name {
+        "IX" => Box::new(DFcfs::new(DFcfsConfig {
+            stack: tcp,
+            ..DFcfsConfig::ix(FIG10_CORES)
+        })),
+        "ZygOS" => Box::new(WorkStealing::new(StealingConfig {
+            stack: tcp,
+            ..StealingConfig::zygos(FIG10_CORES)
+        })),
+        "Shinjuku" => Box::new(CentralDispatch::new(CentralConfig {
+            stack: tcp,
+            ..CentralConfig::shinjuku(FIG10_CORES)
+        })),
+        "RPCValet" => Box::new(Jbsq::new(JbsqVariant::RpcValet, FIG10_CORES)),
+        "Nebula" => Box::new(Jbsq::new(JbsqVariant::Nebula, FIG10_CORES)),
+        "nanoPU" => Box::new(Jbsq::new(JbsqVariant::NanoPu, FIG10_CORES)),
+        // One 16-core group: the paper's group-size exploration (§VIII-B)
+        // picks 16; on a 16-core machine inter-group migration is moot and
+        // AC degenerates to its local c-FCFS tier with an eRPC-class stack.
+        "AC_rss" => {
+            let mut cfg =
+                AcConfig::ac_rss(1, FIG10_CORES, ServiceDistribution::bimodal_paper().mean());
+            // Paired with a hardware-terminated (nanoRPC-class) stack as in
+            // the paper's end-to-end configuration (§IX-A).
+            cfg.stack = StackModel::nano_rpc();
+            Box::new(Altocumulus::new(cfg))
+        }
+        other => panic!("unknown system {other}"),
+    }
 }
 
 /// One measured point of a comparison sweep.

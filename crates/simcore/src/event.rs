@@ -8,9 +8,10 @@
 //!
 //! - [`EventQueue`] — a calendar queue (bucketed timing wheel) tuned for the
 //!   short-horizon, high-density event populations of nanosecond-scale RPC
-//!   simulation. Near-future events land in O(1) ring buckets; far-future
-//!   events overflow into a sorted heap and migrate into the ring as the
-//!   window advances.
+//!   simulation. Near-future events land in O(1) ring buckets. The ring's
+//!   window slides forward with every pop, so only events beyond it — far
+//!   in the simulated future — wait in a sorted overflow heap, and each
+//!   moves into the ring once the window reaches its day.
 //! - [`BinaryHeapQueue`] — the classic `BinaryHeap` implementation, kept as
 //!   the differential-testing oracle and benchmarking baseline.
 //!
@@ -56,6 +57,13 @@ fn bucket_min<E>(bucket: &[Scheduled<E>]) -> (usize, u128) {
         best_key = best_key.min(key);
     }
     (best, best_key)
+}
+
+/// True iff the entries of `bucket` fall on more than one day at bucket
+/// width `1 << width_log2` picoseconds.
+fn spans_days<E>(bucket: &[Scheduled<E>], width_log2: u32) -> bool {
+    let day = |s: &Scheduled<E>| s.time.as_ps() >> width_log2;
+    bucket.iter().any(|s| day(s) != day(&bucket[0]))
 }
 
 impl<E> PartialEq for Scheduled<E> {
@@ -137,15 +145,17 @@ pub struct EventQueue<E> {
     /// Log2 of the bucket width in picoseconds.
     width_log2: u32,
     /// First day of the current window. Only events with
-    /// `base_day <= day < base_day + num_buckets` live in the ring.
+    /// `base_day <= day < base_day + num_buckets` live in the ring. Slides
+    /// to the day of each popped ring event.
     base_day: u64,
     /// Scan cursor: no ring event has a day earlier than this. Rewinds when
     /// a push lands behind it (still within the window).
     cursor_day: u64,
     /// Number of events currently in the ring.
     ring_len: usize,
-    /// Events outside the ring window: far-future days, or (rarely) pushes
-    /// behind `base_day`. Ordered min-first via [`Scheduled`]'s inverted Ord.
+    /// Events outside the ring window: days past its end, or pushes behind
+    /// `base_day` (which a discrete-event push at or after `now` never is).
+    /// Ordered min-first via [`Scheduled`]'s inverted Ord.
     overflow: BinaryHeap<Scheduled<E>>,
     next_seq: u64,
     /// Widest width the adaptive geometry may widen back to — the
@@ -205,6 +215,12 @@ impl<E> EventQueue<E> {
     #[inline]
     fn window_end(&self) -> u64 {
         self.base_day.saturating_add(self.buckets.len() as u64)
+    }
+
+    /// True iff an event at `time` would land past the end of the window.
+    #[inline]
+    fn beyond_window(&self, time: SimTime) -> bool {
+        self.day_of(time) >= self.window_end()
     }
 
     /// Schedules `event` at `time`.
@@ -274,10 +290,12 @@ impl<E> EventQueue<E> {
         self.base_day = min_day;
         self.cursor_day = min_day;
         // Events whose day no longer fits the (narrower) window fall into
-        // the overflow; pop_scheduled already arbitrates ring vs overflow.
+        // the overflow; pop_from_ring already arbitrates ring vs overflow.
         for s in live {
             self.push_scheduled(s);
         }
+        // A wider window may now reach overflow entries.
+        self.pull_overflow();
     }
 
     /// Finds the `(bucket_slot, index_within_bucket)` of the earliest ring
@@ -300,31 +318,43 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// When the ring drains, re-anchor the window at the overflow minimum and
-    /// migrate every overflow event that now fits.
-    fn migrate_overflow(&mut self) {
-        debug_assert!(self.ring_len == 0);
-        let Some(head) = self.overflow.peek() else {
-            return;
-        };
-        self.base_day = self.day_of(head.time);
-        self.cursor_day = self.base_day;
+    /// Moves the overflow entries whose day lies inside the window into
+    /// their ring buckets. The overflow pops min-first, so this stops at
+    /// the first entry outside the window.
+    fn pull_overflow(&mut self) {
+        let end = self.window_end();
         while let Some(head) = self.overflow.peek() {
-            if self.day_of(head.time) >= self.window_end() {
+            let day = self.day_of(head.time);
+            if day < self.base_day || day >= end {
                 break;
             }
             let s = self.overflow.pop().expect("peeked entry exists");
-            let slot = self.slot_of(self.day_of(s.time));
+            let slot = self.slot_of(day);
             self.buckets[slot].push(s);
             self.ring_len += 1;
         }
     }
 
-    /// Removes and returns the earliest entry with its sequence number.
-    fn pop_scheduled(&mut self) -> Option<Scheduled<E>> {
+    /// Removes and returns the earliest entry if it is strictly earlier
+    /// than `limit` (`None`: no limit). Otherwise returns `None` and leaves
+    /// every entry in place, so the caller may still push events earlier
+    /// than the refused one.
+    fn pop_before(&mut self, limit: Option<SimTime>) -> Option<Scheduled<E>> {
+        // `time < limit` iff `key < limit << 64`: the seq fills the low bits.
+        let limit_key = limit.map_or(u128::MAX, |t| (t.as_ps() as u128) << 64);
         loop {
             if self.ring_len == 0 {
-                self.migrate_overflow();
+                // Re-anchor the drained ring at the earliest instant a
+                // pending or still-to-be-pushed event can have: the overflow
+                // head, or the limit, where the caller's next pushes start.
+                let head = self.overflow.peek().map(|s| self.day_of(s.time));
+                let day = head
+                    .into_iter()
+                    .chain(limit.map(|t| self.day_of(t)))
+                    .min()?;
+                self.base_day = day;
+                self.cursor_day = day;
+                self.pull_overflow();
                 // A freshly re-anchored window that captured almost nothing
                 // while plenty of events wait beyond it means the narrowed
                 // width no longer matches the population: widen and retry
@@ -337,48 +367,70 @@ impl<E> EventQueue<E> {
                     self.rehash((self.width_log2 + 2).min(self.max_width_log2));
                     continue;
                 }
-            }
-            if self.ring_len == 0 {
-                return self.overflow.pop();
+                if self.ring_len == 0 {
+                    // Everything pending lies beyond the window, so at or
+                    // past the limit it was anchored on.
+                    return None;
+                }
             }
             let (slot, idx, scanned) = self.ring_min();
             // Adaptive geometry. A bucket denser than the scan limit means
             // the workload packed its live horizon into a sliver of the
             // window (the adversarial dense-churn case): quarter the width
-            // and re-find the minimum. A pop that had to walk hundreds of
-            // empty buckets means the opposite; widen back toward the
-            // construction-time width.
+            // and re-find the minimum — unless the narrower width would
+            // leave the whole bucket in one bucket again, as a burst of
+            // same-instant events (every group's tick at once) does. A pop
+            // that had to walk hundreds of empty buckets means the
+            // opposite; widen back toward the construction-time width.
+            let narrower = self.width_log2.saturating_sub(2).max(MIN_BUCKET_WIDTH_LOG2);
             if self.buckets[slot].len() > NARROW_BUCKET_LIMIT
-                && self.width_log2 > MIN_BUCKET_WIDTH_LOG2
+                && narrower < self.width_log2
+                && spans_days(&self.buckets[slot], narrower)
             {
-                self.rehash(self.width_log2.saturating_sub(2).max(MIN_BUCKET_WIDTH_LOG2));
+                self.rehash(narrower);
                 continue;
             }
             if scanned > WIDEN_SCAN_LIMIT && self.width_log2 < self.max_width_log2 {
                 self.rehash((self.width_log2 + 2).min(self.max_width_log2));
                 continue;
             }
-            return self.pop_from_ring(slot, idx);
+            return self.pop_from_ring(slot, idx, limit_key);
         }
     }
 
     /// Removes ring entry `(slot, idx)`, unless the overflow head is earlier
-    /// (an event pushed behind the window), which pops instead.
-    fn pop_from_ring(&mut self, slot: usize, idx: usize) -> Option<Scheduled<E>> {
+    /// (an event pushed behind the window), which pops instead — in either
+    /// case only if its key is below `limit_key`.
+    ///
+    /// A removed ring entry slides the window to start at its day: no ring
+    /// event is earlier than the cursor, and every later push lands at or
+    /// after the popped instant, so the days behind it are dead. Overflow
+    /// entries the slid window now reaches move into the ring.
+    fn pop_from_ring(&mut self, slot: usize, idx: usize, limit_key: u128) -> Option<Scheduled<E>> {
+        let ring_key = self.buckets[slot][idx].key();
         // The overflow can only beat the ring with an event pushed behind the
         // window (time strictly earlier than every ring day).
         if let Some(head) = self.overflow.peek() {
-            if head.key() < self.buckets[slot][idx].key() {
-                return self.overflow.pop();
+            let head_key = head.key();
+            if head_key < ring_key {
+                return (head_key < limit_key).then(|| self.overflow.pop().expect("peeked"));
             }
         }
+        if ring_key >= limit_key {
+            return None;
+        }
         self.ring_len -= 1;
-        Some(self.buckets[slot].swap_remove(idx))
+        let s = self.buckets[slot].swap_remove(idx);
+        if self.cursor_day > self.base_day {
+            self.base_day = self.cursor_day;
+            self.pull_overflow();
+        }
+        Some(s)
     }
 
     /// Removes and returns the earliest event, or `None` if empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.pop_scheduled().map(|s| (s.time, s.event))
+        self.pop_before(None).map(|s| (s.time, s.event))
     }
 
     /// The time of the earliest pending event, if any.
@@ -551,6 +603,10 @@ pub struct RunSummary {
 /// 2. `inject_chunk` injects at least one event (in stream order, under
 ///    seqs reserved via [`EventQueue::reserve_seqs`]) whenever `next_time()`
 ///    is `Some`.
+///
+/// How far past one event a chunk reaches is the source's choice: the run
+/// loop never pops an event at or after `next_time()`, so a short chunk
+/// only costs an extra refill.
 pub trait EventSource<E> {
     /// Lower bound on the time of the next not-yet-injected event, or
     /// `None` once the stream is exhausted.
@@ -560,7 +616,7 @@ pub trait EventSource<E> {
     fn inject_chunk(&mut self, queue: &mut EventQueue<E>);
 }
 
-/// Default number of arrivals a [`StreamInjector`] pushes per refill.
+/// Default cap on the arrivals a [`StreamInjector`] pushes per refill.
 ///
 /// Large enough to amortize the refill check, small enough that the queue
 /// population stays O(in-flight + chunk) rather than O(trace).
@@ -569,6 +625,11 @@ pub const DEFAULT_INJECT_CHUNK: usize = 1024;
 /// An [`EventSource`] over an indexed stream `0..len`: `lower_bound(i)`
 /// gives the watermark for item `i` without side effects, `make(i)` is
 /// called exactly once per item, in order, to produce `(time, event)`.
+///
+/// A refill injects up to `chunk` items, stopping early at the first whose
+/// lower bound lies past the end of the queue's calendar window: an arrival
+/// pushed there could only wait in the overflow heap. It always injects at
+/// least one item.
 ///
 /// Splitting the two closures lets `make` consume per-arrival state (e.g.
 /// a steering RNG) in exactly the order an upfront push loop would have,
@@ -618,7 +679,11 @@ where
 
     fn inject_chunk(&mut self, queue: &mut EventQueue<E>) {
         let end = (self.next + self.chunk).min(self.len);
-        for i in self.next..end {
+        let mut i = self.next;
+        while i < end {
+            if i > self.next && queue.beyond_window((self.lower_bound)(i)) {
+                break;
+            }
             let (time, event) = (self.make)(i);
             debug_assert!(
                 time >= (self.lower_bound)(i),
@@ -629,8 +694,9 @@ where
                 "lower_bound must be non-decreasing in stream order"
             );
             queue.push_at_seq(time, self.base_seq + i as u64, event);
+            i += 1;
         }
-        self.next = end;
+        self.next = i;
     }
 }
 
@@ -648,7 +714,7 @@ pub fn run<W: World>(
     let mut events = 0u64;
     let mut now = SimTime::ZERO;
     let mut peak = queue.len();
-    while let Some(s) = queue.pop_scheduled() {
+    while let Some(s) = queue.pop_before(None) {
         if s.time > horizon {
             queue.push_scheduled(s);
             return RunSummary {
@@ -687,11 +753,11 @@ pub fn run<W: World>(
 ///
 /// Pop order (and therefore the entire simulation) is byte-identical to an
 /// upfront push as long as `source` honours the [`EventSource`] contract and
-/// its events were assigned reserved seqs in stream order: before each pop
-/// the loop checks whether the source could still hold an event at or before
-/// the queue minimum (`next_time() <= popped.time` — ties matter, because a
-/// reserved stream seq precedes any dynamically pushed one) and tops the
-/// queue up first if so.
+/// its events were assigned reserved seqs in stream order: the loop pops
+/// only an event strictly earlier than `next_time()`, and when the queue
+/// holds none it refills from the source and tries again. Ties go to the
+/// source because a reserved stream seq precedes any dynamically pushed
+/// one. Nothing is popped and pushed back on a refill.
 ///
 /// On a horizon stop, not-yet-injected arrivals remain in `source`; the
 /// queue alone does not hold the full remaining schedule.
@@ -706,21 +772,16 @@ pub fn run_streamed<W: World, S: EventSource<W::Event>>(
     let mut peak = queue.len();
     let mut source_next = source.next_time();
     loop {
-        let s = match queue.pop_scheduled() {
-            Some(s) if source_next.is_none_or(|t| s.time < t) => s,
-            maybe => {
-                // Queue empty, or the source may still hold an event at or
-                // before the popped one. Refill and retry.
-                if let Some(s) = maybe {
-                    queue.push_scheduled(s);
-                } else if source_next.is_none() {
-                    break;
-                }
-                source.inject_chunk(queue);
-                source_next = source.next_time();
-                peak = peak.max(queue.len());
-                continue;
+        let Some(s) = queue.pop_before(source_next) else {
+            // Nothing pending runs before the source's next event. Refill
+            // and retry, or stop once both are exhausted.
+            if source_next.is_none() {
+                break;
             }
+            source.inject_chunk(queue);
+            source_next = source.next_time();
+            peak = peak.max(queue.len());
+            continue;
         };
         if s.time > horizon {
             queue.push_scheduled(s);
@@ -1019,6 +1080,126 @@ mod tests {
         assert!(source.next_time().is_some() || !q.is_empty());
     }
 
+    /// Tags a far-future follow-up, 500 µs out (a bimodal long's
+    /// completion); every other follow-up lands a few µs out.
+    const FAR: u32 = 2_000_000;
+
+    /// Counts handled events and the largest number of near events (not
+    /// tagged [`FAR`]) found in the overflow after a handler ran. Arrival
+    /// `e` (`e < 1_000_000`) pushes one follow-up: 500 µs out when
+    /// `far_every` divides it, else `1 + e % 7` µs out.
+    struct OverflowWatch {
+        far_every: u32,
+        handled: u64,
+        max_near_overflow: usize,
+    }
+    impl World for OverflowWatch {
+        type Event = u32;
+        fn handle(&mut self, now: SimTime, e: u32, q: &mut EventQueue<u32>) {
+            if e < 1_000_000 {
+                if self.far_every > 0 && e.is_multiple_of(self.far_every) {
+                    q.push(now + SimDuration::from_us(500), FAR + e);
+                } else {
+                    q.push(now + SimDuration::from_us(1 + e as u64 % 7), 1_000_000 + e);
+                }
+            }
+            self.handled += 1;
+            let near = q.overflow.iter().filter(|s| s.event < FAR).count();
+            self.max_near_overflow = self.max_near_overflow.max(near);
+        }
+    }
+
+    /// Arrivals up to 60 µs apart, so a full 1024-arrival chunk would span
+    /// hundreds of windows and the ring drains between most arrivals.
+    /// Injection must stop at the window end, the window must slide with
+    /// each pop, and a drained ring must re-anchor at the next arrival
+    /// rather than at a pending 500 µs completion. Then nothing but those
+    /// completions ever waits in the overflow heap; without them, nothing
+    /// at all does.
+    #[test]
+    fn sparse_streamed_run_overflows_only_far_events() {
+        const N: usize = 3000;
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut at = Vec::with_capacity(N);
+        let mut t = 0u64;
+        for _ in 0..N {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            t += state % 60_000_000; // gap < 60 µs, in ps
+            at.push(SimTime::from_ps(t));
+        }
+        for far_every in [0, 40] {
+            let mut q = EventQueue::new();
+            let base = q.reserve_seqs(N as u64);
+            let mut source = StreamInjector::new(N, base, |i| at[i], |i| (at[i], i as u32));
+            let mut w = OverflowWatch {
+                far_every,
+                handled: 0,
+                max_near_overflow: 0,
+            };
+            let summary = run_streamed(&mut w, &mut q, &mut source, SimTime::MAX);
+            assert_eq!(summary.events, 2 * N as u64);
+            assert_eq!(w.handled, 2 * N as u64);
+            assert_eq!(
+                w.max_near_overflow, 0,
+                "near events waited in the overflow (far completions every {far_every})"
+            );
+        }
+    }
+
+    /// A refused `pop_before` is invisible: with the ring populated and
+    /// with only far-future overflow left (where it re-anchors the drained
+    /// ring), `len`, `peek_time` and every later pop match an untouched
+    /// copy.
+    #[test]
+    fn refused_pop_before_leaves_queue_unchanged() {
+        let mut q = EventQueue::new();
+        for (i, ns) in [40u64, 40, 55, 3_000, 900_000, 5_000_000]
+            .into_iter()
+            .enumerate()
+        {
+            q.push(SimTime::from_ns(ns), i);
+        }
+        // Pop through each stage, then refuse at the new minimum (a tie is
+        // refused too) and halfway to it. After the 3 µs stage the ring has
+        // drained and only overflow entries remain.
+        for upto_ns in [0u64, 40, 3_000, 900_000] {
+            while q
+                .peek_time()
+                .is_some_and(|t| t <= SimTime::from_ns(upto_ns))
+            {
+                q.pop();
+            }
+            let head = q.peek_time().expect("entries remain");
+            for limit in [head, SimTime::from_ps(head.as_ps() / 2)] {
+                let untouched = q.clone();
+                assert!(q.pop_before(Some(limit)).is_none());
+                assert_eq!(q.len(), untouched.len());
+                assert_eq!(q.peek_time(), untouched.peek_time());
+                let mut a = q.clone();
+                let mut b = untouched;
+                while let Some(got) = a.pop() {
+                    assert_eq!(Some(got), b.pop());
+                }
+                assert!(b.is_empty());
+            }
+        }
+        // A push behind the slid window waits in the overflow ahead of the
+        // ring; the limit applies to it all the same.
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_us(10), 0);
+        q.pop();
+        q.push(SimTime::from_us(11), 1);
+        q.push(SimTime::from_ns(3), 2);
+        assert!(q.pop_before(Some(SimTime::from_ns(3))).is_none());
+        assert_eq!(q.len(), 2);
+        assert_eq!(
+            q.pop_before(Some(SimTime::from_ns(4))).map(|s| s.event),
+            Some(2)
+        );
+    }
+
     #[test]
     fn reserved_seqs_interleave_with_dynamic_pushes() {
         let mut q = EventQueue::new();
@@ -1083,6 +1264,23 @@ mod tests {
             assert_eq!(Some(got), heap.pop());
         }
         assert!(heap.is_empty());
+    }
+
+    /// Every group's tick at one instant makes a bucket deeper than the
+    /// narrowing limit that no width can split: narrowing it would only
+    /// shrink the window, so the geometry must stay put.
+    #[test]
+    fn same_instant_burst_does_not_narrow() {
+        let mut q = EventQueue::new();
+        for i in 0..4 * NARROW_BUCKET_LIMIT {
+            q.push(SimTime::from_ns(200), i);
+        }
+        q.push(SimTime::from_us(20), usize::MAX);
+        for i in 0..4 * NARROW_BUCKET_LIMIT {
+            assert_eq!(q.pop(), Some((SimTime::from_ns(200), i)));
+            assert_eq!(q.bucket_width_log2(), DEFAULT_BUCKET_WIDTH_LOG2);
+        }
+        assert_eq!(q.pop(), Some((SimTime::from_us(20), usize::MAX)));
     }
 
     /// After a dense burst drains, normally-spaced traffic must widen the

@@ -30,6 +30,7 @@ KEYS = [
     "rack_4x16_ac",
     "rack_4x16_ac_faults",
     "nebula_jbsq",
+    "fig10_lineup_16c",
 ]
 THRESHOLD = 1.25
 
