@@ -224,6 +224,7 @@ impl RpcSystem for CentralDispatch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::completion_digest;
     use crate::stealing::{StealingConfig, WorkStealing};
     use workload::arrival::{DeterministicProcess, PoissonProcess};
     use workload::dist::ServiceDistribution;
@@ -309,16 +310,6 @@ mod tests {
         let a = CentralDispatch::new(CentralConfig::shinjuku(8)).run(&t);
         let b = CentralDispatch::new(CentralConfig::shinjuku(8)).run(&t);
         assert_eq!(a.p99(), b.p99());
-    }
-
-    /// FNV-1a over every completion's `(id, finish_ps, core)`, in
-    /// completion order.
-    fn completion_digest(r: &SystemResult) -> u64 {
-        r.completions.iter().fold(0xcbf2_9ce4_8422_2325, |h, c| {
-            let h = simcore::trace::fnv1a64_fold(h, c.id.0);
-            let h = simcore::trace::fnv1a64_fold(h, c.finish.as_ps());
-            simcore::trace::fnv1a64_fold(h, c.core as u64)
-        })
     }
 
     /// Pins the exact schedule on two traces: a tie-heavy `Fixed` trace

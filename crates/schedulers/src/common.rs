@@ -259,6 +259,18 @@ pub fn on_core_cost(
     rx + req.service + tx + sched_overhead
 }
 
+/// FNV-1a over every completion's `(id, finish_ps, core)`, in completion
+/// order: a schedule fingerprint that pinned-digest tests compare against
+/// values taken before a refactor.
+#[cfg(test)]
+pub(crate) fn completion_digest(r: &SystemResult) -> u64 {
+    r.completions.iter().fold(0xcbf2_9ce4_8422_2325, |h, c| {
+        let h = simcore::trace::fnv1a64_fold(h, c.id.0);
+        let h = simcore::trace::fnv1a64_fold(h, c.finish.as_ps());
+        simcore::trace::fnv1a64_fold(h, c.core as u64)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -223,6 +223,7 @@ impl RpcSystem for DFcfs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::completion_digest;
     use workload::arrival::PoissonProcess;
     use workload::dist::ServiceDistribution;
     use workload::trace::TraceBuilder;
@@ -379,5 +380,28 @@ mod tests {
             r.p99(),
             healthy.p99()
         );
+    }
+
+    /// Pins the exact schedule of a faulted run: core 3 dies at 200 µs
+    /// while cores 4–7 straggle 2.5× over 100–400 µs.
+    #[test]
+    fn fault_schedule_digest_is_pinned() {
+        use simcore::faults::{Straggler, WorkerFailure};
+        let t = trace(0.7, 8, 20_000);
+        let mut cfg = DFcfsConfig::rss(8);
+        cfg.faults.worker_failures.push(WorkerFailure {
+            core: 3,
+            at: SimTime::from_us(200),
+        });
+        cfg.faults.stragglers.push(Straggler {
+            first_core: 4,
+            last_core: 7,
+            from: SimTime::from_us(100),
+            until: SimTime::from_us(400),
+            slowdown: 2.5,
+        });
+        let r = DFcfs::new(cfg).run(&t);
+        assert_eq!(r.completions.len(), 17709);
+        assert_eq!(completion_digest(&r), 0xa294_a4a2_4f0e_5743);
     }
 }

@@ -212,6 +212,7 @@ impl RpcSystem for CentralQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::completion_digest;
     use queueing::erlang::MmK;
     use workload::arrival::PoissonProcess;
     use workload::dist::ServiceDistribution;
@@ -341,5 +342,25 @@ mod tests {
             r.first_violation_queue_len(&t, SimDuration::from_us(100)),
             None
         );
+    }
+
+    /// Pins the exact schedule and the queue length every arrival saw, on
+    /// an exponential trace near saturation.
+    #[test]
+    fn schedule_and_queue_lengths_are_pinned() {
+        let dist = ServiceDistribution::Exponential {
+            mean: SimDuration::from_us(1),
+        };
+        let t = trace(dist, 0.95, 16, 20_000, 5);
+        let r = CentralQueue::new(CentralQueueConfig::ideal(16)).run_instrumented(&t);
+        assert_eq!(r.system.completions.len(), 20_000);
+        let qlen = r
+            .arrival_queue_len
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325, |h, &l| {
+                simcore::trace::fnv1a64_fold(h, l as u64)
+            });
+        assert_eq!(completion_digest(&r.system), 0xdab0_76d3_5c68_ad86);
+        assert_eq!(qlen, 0x0788_e87d_1549_7be3);
     }
 }

@@ -369,6 +369,7 @@ impl RpcSystem for Jbsq {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::completion_digest;
     use workload::arrival::PoissonProcess;
     use workload::dist::ServiceDistribution;
     use workload::trace::TraceBuilder;
@@ -546,5 +547,28 @@ mod tests {
             r.p99(),
             healthy.p99()
         );
+    }
+
+    /// Pins the exact schedule of Nebula on 64 cores — two 32-core
+    /// coherence domains fed by RSS — with core 33 dying at 500 µs, and of
+    /// nanoPU on a bimodal trace whose long requests are preempted.
+    #[test]
+    fn schedule_digests_are_pinned() {
+        use simcore::faults::WorkerFailure;
+        let t = trace(ServiceDistribution::bimodal_paper(), 0.7, 64, 20_000);
+        let mut cfg = JbsqConfig::of(JbsqVariant::Nebula, 64);
+        assert_eq!(64 / cfg.domain_size, 2);
+        cfg.faults.worker_failures.push(WorkerFailure {
+            core: 33,
+            at: SimTime::from_us(500),
+        });
+        let nebula = Jbsq::with_config(JbsqVariant::Nebula, cfg).run(&t);
+        assert_eq!(nebula.completions.len(), 19999);
+        assert_eq!(completion_digest(&nebula), 0xb8ef_b13e_0306_44c0);
+
+        let t = trace(ServiceDistribution::bimodal_paper(), 0.8, 16, 20_000);
+        let nanopu = Jbsq::new(JbsqVariant::NanoPu, 16).run(&t);
+        assert_eq!(nanopu.completions.len(), 20_000);
+        assert_eq!(completion_digest(&nanopu), 0xf10d_a403_7a24_f31a);
     }
 }

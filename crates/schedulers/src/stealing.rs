@@ -263,6 +263,7 @@ impl RpcSystem for WorkStealing {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::completion_digest;
     use crate::dfcfs::{DFcfs, DFcfsConfig};
     use workload::arrival::PoissonProcess;
     use workload::dist::ServiceDistribution;
@@ -363,5 +364,24 @@ mod tests {
         let mut sys = WorkStealing::new(StealingConfig::zygos(1));
         sys.run(&t);
         assert_eq!(sys.stolen(), 0);
+    }
+
+    /// Pins the exact schedule under RSS imbalance (6 connections on 8
+    /// cores), where idle cores steal: the victim draws and steal costs
+    /// are all inside the digest.
+    #[test]
+    fn steal_schedule_digest_is_pinned() {
+        let t = trace(
+            ServiceDistribution::Fixed(SimDuration::from_us(1)),
+            0.8,
+            8,
+            20_000,
+            6,
+        );
+        let mut sys = WorkStealing::new(StealingConfig::zygos(8));
+        let r = sys.run(&t);
+        assert_eq!(r.completions.len(), 20_000);
+        assert_eq!(sys.stolen(), 4914);
+        assert_eq!(completion_digest(&r), 0x060b_815c_2534_8ee5);
     }
 }
