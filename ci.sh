@@ -108,6 +108,10 @@ SWEEP_THREADS=4 cargo run -q -p bench --release --bin fault_sweep -- --quick > t
 cmp target/fault_sweep_quick.txt target/fault_sweep_b.txt
 cmp target/fault_sweep_quick.txt target/fault_sweep_c.txt
 rm -f target/fault_sweep_b.txt target/fault_sweep_c.txt
+# The full shape (five intensities, 40k requests, ~0.1 s) must run to the
+# end as well: it once panicked on a stress plan that targeted cores past
+# the 64-core mesh while only --quick ran here.
+cargo run -q -p bench --release --bin fault_sweep > /dev/null
 
 echo "==> rack determinism smoke (repeats + SWEEP_THREADS)"
 # The rack tier's contract: byte-identical across repeated runs and across

@@ -26,7 +26,9 @@
 
 use altocumulus::config::Resilience;
 use altocumulus::{AcConfig, Altocumulus};
-use bench::record::{record_artifact, record_granularity_arg, record_out_arg, scenario_runs};
+use bench::record::{
+    ac_worker_cores, record_artifact, record_granularity_arg, record_out_arg, scenario_runs,
+};
 use bench::{has_flag, parallel_map, poisson_trace};
 use schedulers::common::RpcSystem;
 use schedulers::dfcfs::{DFcfs, DFcfsConfig};
@@ -63,9 +65,7 @@ fn violations(r: &schedulers::common::SystemResult, offered: usize, slo: SimDura
 /// reserves one manager tile per group; the flat baselines use every core.
 fn worker_cores(system: &str) -> Vec<usize> {
     match system {
-        "AC_int" => (0..CORES + GROUPS)
-            .filter(|c| c % GROUP_SIZE != 0)
-            .collect(),
+        "AC_int" => ac_worker_cores(GROUPS, GROUP_SIZE),
         _ => (0..CORES).collect(),
     }
 }

@@ -114,6 +114,15 @@ pub mod rack_shape {
     pub const DEATH_LOAD: f64 = 0.7;
 }
 
+/// Cores a stress plan may fail on an ALTOCUMULUS mesh of `groups` groups
+/// of `group_size` tiles: every tile but the group managers' (tile 0 of
+/// each group). Shared by `fault_sweep` and its recorded runs.
+pub fn ac_worker_cores(groups: usize, group_size: usize) -> Vec<usize> {
+    (0..groups * group_size)
+        .filter(|c| c % group_size != 0)
+        .collect()
+}
+
 /// Builds the `rack_sweep` AC rack and its workload for one cell. `shape`
 /// is `(servers, groups, group_size)`; `death` hardens the per-server
 /// resilience policy, installs a per-server [`FaultPlan::stress`] plan and
@@ -205,8 +214,7 @@ impl RunSpec {
                 let dist = ServiceDistribution::Fixed(SimDuration::from_ns(850));
                 let trace = poisson_trace(dist, 0.7, 64, requests, 128, 10);
                 let horizon = trace.requests().last().map_or(SimTime::ZERO, |r| r.arrival);
-                let worker_cores: Vec<usize> = (0..68).filter(|c| c % 16 != 0).collect();
-                let plan = FaultPlan::stress(0xFA_07, &worker_cores, intensity, horizon);
+                let plan = FaultPlan::stress(0xFA_07, &ac_worker_cores(4, 16), intensity, horizon);
                 let mut cfg = AcConfig::ac_int(4, 16, dist.mean());
                 cfg.resilience = Resilience::hardened();
                 cfg.faults = plan;
