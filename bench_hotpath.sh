@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Measures hot-path throughput (events/sec) and peak event-queue population
-# for the representative sim_throughput configuration plus the paper-scale
-# 256-core (16x16) mesh — the latter under both control planes (Elided vs
+# for the representative 64-core, 20k-request configuration (ACint 4x16 and
+# Nebula) plus the paper-scale 256-core (16x16) mesh — the latter under
+# both control planes (Elided vs
 # EventDriven) so the manager-plane event-elision win is recorded
 # head-to-head, and once more on Exponential service over 4096 connections
 # (the benchmark's traffic shape) — plus a 1024-core (32x32) mesh, the

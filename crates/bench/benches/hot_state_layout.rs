@@ -14,18 +14,13 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use simcore::time::SimDuration;
 use std::time::Instant;
-use workload::{PoissonProcess, ServiceDistribution, Trace, TraceBuilder};
+use workload::{poisson_trace, ServiceDistribution, Trace};
 
 use altocumulus::{AcConfig, Altocumulus};
 
 fn trace_for(cores: usize, requests: usize) -> Trace {
     let dist = ServiceDistribution::Fixed(SimDuration::from_ns(850));
-    let rate = PoissonProcess::rate_for_load(0.6, cores, dist.mean());
-    TraceBuilder::new(PoissonProcess::new(rate), dist)
-        .requests(requests)
-        .connections(16)
-        .seed(1)
-        .build()
+    poisson_trace(dist, 0.6, cores, requests, 16, 1)
 }
 
 /// Best-of-3 nanoseconds per main-loop event for one configuration.

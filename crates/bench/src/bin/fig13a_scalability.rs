@@ -15,7 +15,9 @@
 use altocumulus::accounting::prediction_accuracy;
 use altocumulus::telemetry::phase_table;
 use altocumulus::{AcConfig, Altocumulus};
-use bench::{capture_telemetry, export_trace, has_flag, parallel_map, trace_out_arg};
+use bench::{
+    capture_telemetry, export_trace, has_flag, parallel_map, poisson_trace, trace_out_arg,
+};
 use queueing::ThresholdModel;
 use schedulers::common::RpcSystem;
 use schedulers::dfcfs::{DFcfs, DFcfsConfig};
@@ -179,12 +181,7 @@ fn main() {
     // stdout stays byte-identical with or without the flag.
     if let Some(path) = trace_out_arg() {
         let dist = ServiceDistribution::Fixed(SimDuration::from_ns(850));
-        let rate = PoissonProcess::rate_for_load(0.8, 64, dist.mean());
-        let trace = TraceBuilder::new(PoissonProcess::new(rate), dist)
-            .requests(20_000)
-            .connections(64 * 16)
-            .seed(51)
-            .build();
+        let trace = poisson_trace(dist, 0.8, 64, 20_000, 64 * 16, 51);
         let mut tel = capture_telemetry(trace.len());
         let r = Altocumulus::new(opt(64)).run_traced(&trace, &mut tel);
         let probes = export_trace(&tel, &path);

@@ -1,6 +1,8 @@
-//! Hot-path measurement harness: events/sec and peak event-queue
-//! population for the `sim_throughput` configurations, emitted as
-//! `BENCH_hotpath.json` for before/after comparison (see `bench_hotpath.sh`).
+//! Hot-path measurement harness: wall time, events/sec and peak event-queue
+//! population of whole runs — ALTOCUMULUS and Nebula on 64 cores (20 k
+//! requests), the 16×16 and 32×32 meshes, the rack tier and the Fig. 10
+//! line-up — emitted as `BENCH_hotpath.json` for before/after comparison
+//! (see `bench_hotpath.sh`).
 //!
 //! Each case runs several iterations and reports the *fastest* wall time —
 //! best-of is far more stable than a mean on a shared/noisy machine, and the
@@ -17,7 +19,7 @@ use schedulers::common::RpcSystem;
 use schedulers::jbsq::{Jbsq, JbsqVariant};
 use simcore::time::SimDuration;
 use std::time::Instant;
-use workload::{PoissonProcess, ServiceDistribution, TraceBuilder};
+use workload::ServiceDistribution;
 
 const ITERS: usize = 7;
 
@@ -39,12 +41,7 @@ fn trace_of(
     load: f64,
     connections: u32,
 ) -> workload::Trace {
-    let rate = PoissonProcess::rate_for_load(load, cores, dist.mean());
-    TraceBuilder::new(PoissonProcess::new(rate), dist)
-        .requests(requests)
-        .connections(connections)
-        .seed(1)
-        .build()
+    poisson_trace(dist, load, cores, requests, connections, 1)
 }
 
 fn measure(cfg: &AcConfig, t: &workload::Trace) -> Measured {

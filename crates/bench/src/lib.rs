@@ -20,8 +20,7 @@ use schedulers::jbsq::{Jbsq, JbsqVariant};
 use schedulers::stealing::{StealingConfig, WorkStealing};
 use simcore::time::SimDuration;
 use std::path::{Path, PathBuf};
-use workload::trace::Trace;
-use workload::{PoissonProcess, ServiceDistribution, TraceBuilder};
+use workload::ServiceDistribution;
 
 /// Runs `f` over `items` on up to `threads` OS threads, preserving order.
 ///
@@ -44,22 +43,7 @@ pub fn sweep_threads() -> usize {
     simcore::default_threads()
 }
 
-/// Builds a Poisson trace for `dist` at `load` on `cores` cores.
-pub fn poisson_trace(
-    dist: ServiceDistribution,
-    load: f64,
-    cores: usize,
-    requests: usize,
-    connections: u32,
-    seed: u64,
-) -> Trace {
-    let rate = PoissonProcess::rate_for_load(load, cores, dist.mean());
-    TraceBuilder::new(PoissonProcess::new(rate), dist)
-        .requests(requests)
-        .connections(connections)
-        .seed(seed)
-        .build()
-}
+pub use workload::trace::poisson_trace;
 
 /// Cores of every Fig. 10 system.
 pub const FIG10_CORES: usize = 16;

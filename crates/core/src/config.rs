@@ -253,14 +253,8 @@ impl AcConfig {
                 "tenancy must assign every group exactly once"
             );
         }
-        self.faults.validate();
+        self.faults.validate_cores(self.total_cores());
         for f in &self.faults.worker_failures {
-            assert!(
-                f.core < self.total_cores(),
-                "worker failure targets core {} of {}",
-                f.core,
-                self.total_cores()
-            );
             assert!(
                 f.core % self.group_size != 0,
                 "core {} is a manager tile; use manager_failures",

@@ -7,8 +7,9 @@
 //! [`schedulers::common::RpcSystem`], so it can be compared head-to-head
 //! with every baseline on identical traces.
 //!
-//! A run executes on one thread, in the serial [`run_streamed`] loop over
-//! the calendar queue; parallelism lives across independent runs
+//! A run executes on one thread, in the serial simcore loop that
+//! [`schedulers::common::drive`] runs for every system over the calendar
+//! queue; parallelism lives across independent runs
 //! (`simcore::parallel_map` over sweep cells and rack servers).
 
 use crate::accounting::PredictedSet;
@@ -24,8 +25,8 @@ use crate::telemetry::span;
 use interconnect::noc::MeshNoc;
 use interconnect::offchip::MemoryModel;
 use rpcstack::nic::{NicModel, Transfer};
-use schedulers::common::{OccTable, QueuedRequest, RpcSystem, SystemResult};
-use simcore::event::{run_streamed, EventQueue, RunSummary, StreamInjector, World};
+use schedulers::common::{drive, OccTable, QueuedRequest, RpcSystem, SystemResult};
+use simcore::event::{EventQueue, RunSummary, World};
 use simcore::faults::{NocDecision, NocFaultRng};
 use simcore::rng::{stream_rng, streams, BatchedRng, CountingRng};
 use simcore::slab::{Handle, Slab};
@@ -34,7 +35,6 @@ use simcore::time::{SimDuration, SimTime};
 use simcore::trace::{fnv1a64_fold, Recorder};
 use std::cell::Cell;
 use std::collections::VecDeque;
-use workload::request::Completion;
 use workload::trace::Trace;
 
 /// Counters describing the migration machinery's behaviour during a run.
@@ -152,10 +152,10 @@ impl Altocumulus {
     /// statistics.
     ///
     /// Arrivals are injected *lazily* in chunks as virtual time advances
-    /// (see [`StreamInjector`]): the event queue holds O(in-flight) events
-    /// instead of the whole trace. Seqs for all arrivals are reserved up
-    /// front in trace order, so the pop order — and therefore every result
-    /// byte — is identical to the old upfront pre-push.
+    /// (see [`drive`]): the event queue holds O(in-flight) events instead
+    /// of the whole trace. Seqs for all arrivals are reserved up front in
+    /// trace order, so the pop order — and therefore every result byte —
+    /// is identical to an upfront pre-push.
     pub fn run_detailed(&mut self, trace: &Trace) -> AcResult {
         // Monomorphized against the no-op sink: the compiled hot path is
         // the telemetry-free one, with zero extra instructions.
@@ -192,7 +192,7 @@ impl Altocumulus {
 
     fn run_with<S: TelemetrySink>(&mut self, trace: &Trace, tel: &mut S) -> AcResult {
         let cfg = &self.cfg;
-        let nic = NicModel::default();
+        let mac_delay = NicModel::default().mac_delay;
         let attach_transfer = match cfg.attachment {
             Attachment::Integrated => Transfer::coherent(),
             Attachment::RssPcie => Transfer::pcie(),
@@ -210,9 +210,6 @@ impl Altocumulus {
             &nic_draws,
         );
 
-        let mut queue = EventQueue::new();
-        let base_seq = queue.reserve_seqs(trace.len() as u64);
-
         // With tenancy, a connection's requests only reach its tenant's
         // groups; otherwise the NIC hashes across all NetRX queues. The
         // per-tenant group lists are computed once, not per arrival.
@@ -220,28 +217,6 @@ impl Altocumulus {
             Some(t) => (0..t.tenants()).map(|tn| t.groups_of(tn)).collect(),
             None => Vec::new(),
         };
-        let requests = trace.requests();
-        let mac_delay = nic.mac_delay;
-        let mut source = StreamInjector::new(
-            trace.len(),
-            base_seq,
-            // The trace is sorted by arrival (enforced by `Trace::new`) and
-            // the transfer latency is non-negative, so this lower bound is
-            // non-decreasing and never exceeds the actual delivery time.
-            |i: usize| requests[i].arrival + mac_delay,
-            |i: usize| {
-                let req = &requests[i];
-                let g = match &cfg.tenancy {
-                    Some(t) => {
-                        let owned = &tenant_groups[t.tenant_of_conn(req.conn) as usize];
-                        owned[steering.steer(req.conn, owned.len(), &mut nic_rng)]
-                    }
-                    None => steering.steer(req.conn, cfg.groups, &mut nic_rng),
-                };
-                let deliver = req.arrival + mac_delay + attach_transfer.latency(req.size_bytes);
-                (deliver, Ev::Enqueue(g as u32, i as u32))
-            },
-        );
 
         let mem = MemoryModel::default();
         let runtime_cost = cfg.interface.runtime_cost(2 + cfg.concurrency as u32, 2.0);
@@ -421,26 +396,45 @@ impl Altocumulus {
             probe_ids,
             faults,
         };
-        if cfg.migration_enabled && cfg.groups > 1 {
-            let first = SimTime::ZERO + cfg.period;
-            for g in 0..cfg.groups {
-                world.schedule_next_tick(g, first, false, &mut queue);
-            }
-        }
-        // Fault strikes from the plan. Pushed after the arrival-seq
-        // reservation and the initial ticks, so with an empty plan (no
-        // pushes) the queue's seq evolution is untouched.
-        if world.faults.is_some() {
-            for f in &cfg.faults.worker_failures {
-                let g = f.core / cfg.group_size;
-                let w = f.core % cfg.group_size - 1;
-                queue.push(f.at, Ev::Fault(FaultEv::WorkerFail(g as u32, w as u32)));
-            }
-            for f in &cfg.faults.manager_failures {
-                queue.push(f.at, Ev::Fault(FaultEv::ManagerFail(f.group as u32)));
-            }
-        }
-        let summary = run_streamed(&mut world, &mut queue, &mut source, SimTime::MAX);
+        // The transfer latency is non-negative, so the MAC delay alone is a
+        // watermark that never exceeds the actual delivery time.
+        let summary = drive(
+            &mut world,
+            trace,
+            mac_delay,
+            |i, req| {
+                let g = match &cfg.tenancy {
+                    Some(t) => {
+                        let owned = &tenant_groups[t.tenant_of_conn(req.conn) as usize];
+                        owned[steering.steer(req.conn, owned.len(), &mut nic_rng)]
+                    }
+                    None => steering.steer(req.conn, cfg.groups, &mut nic_rng),
+                };
+                let deliver = req.arrival + mac_delay + attach_transfer.latency(req.size_bytes);
+                (deliver, Ev::Enqueue(g as u32, i as u32))
+            },
+            |world, queue| {
+                if cfg.migration_enabled && cfg.groups > 1 {
+                    let first = SimTime::ZERO + cfg.period;
+                    for g in 0..cfg.groups {
+                        world.schedule_next_tick(g, first, false, queue);
+                    }
+                }
+                // Fault strikes from the plan, pushed after the initial
+                // ticks, so with an empty plan (no pushes) the queue's seq
+                // evolution is untouched.
+                if world.faults.is_some() {
+                    for f in &cfg.faults.worker_failures {
+                        let g = f.core / cfg.group_size;
+                        let w = f.core % cfg.group_size - 1;
+                        queue.push(f.at, Ev::Fault(FaultEv::WorkerFail(g as u32, w as u32)));
+                    }
+                    for f in &cfg.faults.manager_failures {
+                        queue.push(f.at, Ev::Fault(FaultEv::ManagerFail(f.group as u32)));
+                    }
+                }
+            },
+        );
         world.finalize_idle_accounting(summary.end_time);
         let fault_stats = world.faults.as_ref().map(|f| f.stats).unwrap_or_default();
         let fault_draws = world
@@ -1583,13 +1577,7 @@ impl<S: TelemetrySink> AcWorld<'_, S> {
         self.tel
             .span_point(qr.idx as u32, span::COMPLETE, core, now);
         let req = &self.trace.requests()[qr.idx];
-        self.result.record(Completion {
-            id: req.id,
-            arrival: req.arrival,
-            finish: now,
-            core: core as usize,
-            migrated: qr.migrated,
-        });
+        self.result.complete(req, now, core as usize, qr.migrated);
         self.completed += 1;
         if let Some(next) = grp.waiting[w].pop_front() {
             self.start_worker(g, w, next, now, q);
@@ -2457,17 +2445,10 @@ impl<S: TelemetrySink> World for AcWorld<'_, S> {
 mod tests {
     use super::*;
     use crate::runtime::predictor::ThresholdPolicy;
-    use workload::arrival::PoissonProcess;
     use workload::dist::ServiceDistribution;
-    use workload::trace::TraceBuilder;
 
     fn trace(dist: ServiceDistribution, load: f64, cores: usize, n: usize, conns: u32) -> Trace {
-        let rate = PoissonProcess::rate_for_load(load, cores, dist.mean());
-        TraceBuilder::new(PoissonProcess::new(rate), dist)
-            .requests(n)
-            .connections(conns)
-            .seed(77)
-            .build()
+        workload::trace::poisson_trace(dist, load, cores, n, conns, 77)
     }
 
     #[test]

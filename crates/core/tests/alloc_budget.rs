@@ -35,21 +35,15 @@ use altocumulus::{AcConfig, Altocumulus, RackConfig, RackWorld, Telemetry};
 use simcore::alloc::CountingAlloc;
 use simcore::time::SimDuration;
 use simcore::trace::{Granularity, Recorder};
-use workload::arrival::PoissonProcess;
 use workload::dist::ServiceDistribution;
-use workload::trace::{Trace, TraceBuilder};
+use workload::trace::{poisson_trace, Trace};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
 
 fn trace(n: usize, load: f64) -> Trace {
     let dist = ServiceDistribution::Fixed(SimDuration::from_ns(850));
-    let rate = PoissonProcess::rate_for_load(load, 64, dist.mean());
-    TraceBuilder::new(PoissonProcess::new(rate), dist)
-        .requests(n)
-        .connections(256)
-        .seed(1)
-        .build()
+    poisson_trace(dist, load, 64, n, 256, 1)
 }
 
 fn run(trace: &Trace) -> (u64, u64) {
@@ -86,12 +80,7 @@ fn bimodal_trace(n: usize, load: f64) -> Trace {
         long: SimDuration::from_us(20),
         p_long: 0.01,
     };
-    let rate = PoissonProcess::rate_for_load(load, 64, dist.mean());
-    TraceBuilder::new(PoissonProcess::new(rate), dist)
-        .requests(n)
-        .connections(256)
-        .seed(1)
-        .build()
+    poisson_trace(dist, load, 64, n, 256, 1)
 }
 
 /// Like [`run`], but with a recording [`Telemetry`] sink attached. The

@@ -6,7 +6,7 @@ use altocumulus::config::Resilience;
 use altocumulus::{AcConfig, AcResult, Altocumulus, ControlPlane};
 use simcore::faults::{FaultPlan, FifoStall, ManagerFailure, NocFaults, Straggler, WorkerFailure};
 use simcore::time::{SimDuration, SimTime};
-use workload::{PoissonProcess, ServiceDistribution, Trace, TraceBuilder};
+use workload::{poisson_trace, ServiceDistribution, Trace};
 
 const GROUPS: usize = 4;
 const GROUP_SIZE: usize = 16;
@@ -14,12 +14,7 @@ const CORES: usize = GROUPS * GROUP_SIZE;
 
 fn trace(load: f64, n: usize, conns: u32) -> Trace {
     let dist = ServiceDistribution::Fixed(SimDuration::from_ns(850));
-    let rate = PoissonProcess::rate_for_load(load, CORES, dist.mean());
-    TraceBuilder::new(PoissonProcess::new(rate), dist)
-        .requests(n)
-        .connections(conns)
-        .seed(77)
-        .build()
+    poisson_trace(dist, load, CORES, n, conns, 77)
 }
 
 fn cfg() -> AcConfig {

@@ -1,28 +1,29 @@
 //! Hostile configurations: degenerate traces, overload, one-worker groups
 //! and mass failures. Each must end in a clean result — no panic, no hang —
-//! for ALTOCUMULUS (ACint and ACrss) and for d-FCFS where the case has a
-//! d-FCFS counterpart. Every result must also conserve requests: no more
-//! completions than the trace holds, and no request id completing twice.
+//! for ALTOCUMULUS (ACint and ACrss), for d-FCFS where the case has a
+//! d-FCFS counterpart, and for every other baseline (the three JBSQ
+//! variants, ZygOS, Shinjuku and ideal c-FCFS) on the empty trace, under
+//! overload and, for JBSQ, with every core dead. Every result must also
+//! conserve requests: no more completions than the trace holds, and no
+//! request id completing twice.
 
 use altocumulus::{AcConfig, Altocumulus};
+use schedulers::central::{CentralConfig, CentralDispatch};
 use schedulers::common::{RpcSystem, SystemResult};
 use schedulers::dfcfs::{DFcfs, DFcfsConfig};
+use schedulers::ideal::{CentralQueue, CentralQueueConfig};
+use schedulers::jbsq::{Jbsq, JbsqConfig, JbsqVariant};
+use schedulers::stealing::{StealingConfig, WorkStealing};
 use simcore::faults::{FaultPlan, ManagerFailure, WorkerFailure};
 use simcore::time::{SimDuration, SimTime};
 use std::collections::HashSet;
 use std::ops::Range;
-use workload::{PoissonProcess, ServiceDistribution, Trace, TraceBuilder};
+use workload::{poisson_trace, ServiceDistribution, Trace};
 
 const MEAN: SimDuration = SimDuration::from_ns(850);
 
 fn trace(cores: usize, load: f64, n: usize) -> Trace {
-    let dist = ServiceDistribution::Fixed(MEAN);
-    let rate = PoissonProcess::rate_for_load(load, cores, dist.mean());
-    TraceBuilder::new(PoissonProcess::new(rate), dist)
-        .requests(n)
-        .connections(256)
-        .seed(77)
-        .build()
+    poisson_trace(ServiceDistribution::Fixed(MEAN), load, cores, n, 256, 77)
 }
 
 /// ACint and ACrss on the same mesh.
@@ -58,6 +59,28 @@ fn run_dfcfs(cfg: DFcfsConfig, t: &Trace) -> usize {
     conserved(&DFcfs::new(cfg).run(t), t)
 }
 
+const JBSQ: [JbsqVariant; 3] = [
+    JbsqVariant::RpcValet,
+    JbsqVariant::Nebula,
+    JbsqVariant::NanoPu,
+];
+
+/// Runs every baseline but d-FCFS (the three JBSQ variants, ZygOS,
+/// Shinjuku and ideal c-FCFS) on `cores` cores over `t`, returning each
+/// one's name and completion count.
+fn run_other_baselines(cores: usize, t: &Trace) -> Vec<(String, usize)> {
+    let mut systems: Vec<Box<dyn RpcSystem>> = vec![
+        Box::new(WorkStealing::new(StealingConfig::zygos(cores))),
+        Box::new(CentralDispatch::new(CentralConfig::shinjuku(cores))),
+        Box::new(CentralQueue::new(CentralQueueConfig::ideal(cores))),
+    ];
+    systems.extend(JBSQ.map(|v| Box::new(Jbsq::new(v, cores)) as Box<dyn RpcSystem>));
+    systems
+        .into_iter()
+        .map(|mut sys| (sys.name(), conserved(&sys.run(t), t)))
+        .collect()
+}
+
 /// Every worker core of `groups` (cores `g * group_size + 1 ..`) dead at
 /// `at_us` microseconds.
 fn workers_dead(groups: Range<usize>, group_size: usize, at_us: u64) -> Vec<WorkerFailure> {
@@ -76,6 +99,9 @@ fn zero_length_trace() {
     assert_eq!(run_ac(ac_pair(4, 16), &t), [0, 0]);
     assert_eq!(run_ac(ac_pair(1, 2), &t), [0, 0]);
     assert_eq!(run_dfcfs(DFcfsConfig::ix(64), &t), 0);
+    for (name, n) in run_other_baselines(64, &t) {
+        assert_eq!(n, 0, "{name}");
+    }
 }
 
 #[test]
@@ -83,6 +109,9 @@ fn overload_still_drains_every_request() {
     let t = trace(64, 1.5, 20_000);
     assert_eq!(run_ac(ac_pair(4, 16), &t), [20_000; 2]);
     assert_eq!(run_dfcfs(DFcfsConfig::ix(64), &t), 20_000);
+    for (name, n) in run_other_baselines(64, &t) {
+        assert_eq!(n, 20_000, "{name}");
+    }
 }
 
 #[test]
@@ -166,6 +195,29 @@ fn every_core_dead_dfcfs() {
         "{n} of {} completed with no live core",
         t.len()
     );
+}
+
+#[test]
+fn every_core_dead_jbsq() {
+    // The central queues stop pushing once no live core is left: what the
+    // cores held is lost and the rest of the trace waits at the NIC.
+    let t = trace(64, 0.6, 5_000);
+    for variant in JBSQ {
+        let mut cfg = JbsqConfig::of(variant, 64);
+        cfg.faults.worker_failures = (0..64)
+            .map(|core| WorkerFailure {
+                core,
+                at: SimTime::from_us(2),
+            })
+            .collect();
+        let n = conserved(&Jbsq::with_config(variant, cfg).run(&t), &t);
+        assert!(
+            n < t.len(),
+            "{}: {n} of {} completed with no live core",
+            variant.name(),
+            t.len()
+        );
+    }
 }
 
 #[test]

@@ -19,7 +19,7 @@
 use altocumulus::{AcConfig, Altocumulus, Attachment, ControlPlane, Interface};
 use proptest::prelude::*;
 use simcore::time::SimDuration;
-use workload::{PoissonProcess, ServiceDistribution, TraceBuilder};
+use workload::{poisson_trace, ServiceDistribution};
 
 #[derive(Debug, Clone)]
 struct PlaneCase {
@@ -114,12 +114,7 @@ proptest! {
             mean: SimDuration::from_ns(850),
         };
         let cores = case.groups * case.group_size;
-        let rate = PoissonProcess::rate_for_load(case.load, cores, dist.mean());
-        let trace = TraceBuilder::new(PoissonProcess::new(rate), dist)
-            .requests(1200)
-            .connections(case.connections)
-            .seed(case.seed)
-            .build();
+        let trace = poisson_trace(dist, case.load, cores, 1200, case.connections, case.seed);
         let el = build(&case, dist.mean(), ControlPlane::Elided).run_detailed(&trace);
         let ev = build(&case, dist.mean(), ControlPlane::EventDriven).run_detailed(&trace);
 

@@ -16,7 +16,7 @@ use altocumulus::{AcConfig, Altocumulus, ControlPlane};
 use proptest::prelude::*;
 use simcore::faults::{FaultPlan, NocFaults, Straggler};
 use simcore::time::{SimDuration, SimTime};
-use workload::{PoissonProcess, ServiceDistribution, Trace, TraceBuilder};
+use workload::{poisson_trace, ServiceDistribution, Trace};
 
 #[derive(Debug, Clone)]
 struct FaultCase {
@@ -81,12 +81,7 @@ fn build(
 
 fn make_trace(case: &FaultCase, dist: ServiceDistribution) -> Trace {
     let cores = case.groups * case.group_size;
-    let rate = PoissonProcess::rate_for_load(case.load, cores, dist.mean());
-    TraceBuilder::new(PoissonProcess::new(rate), dist)
-        .requests(1200)
-        .connections(case.connections)
-        .seed(case.seed)
-        .build()
+    poisson_trace(dist, case.load, cores, 1200, case.connections, case.seed)
 }
 
 /// Every fault knob present, none with an observable effect.

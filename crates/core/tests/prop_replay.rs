@@ -20,7 +20,7 @@ use simcore::trace::{
     first_divergence, parse_artifact, render_divergence, validate_artifact, write_artifact_meta,
     write_run_section, Divergence, Granularity, ParsedRun, Recorder, RunMeta, RunTotals,
 };
-use workload::{PoissonProcess, ServiceDistribution, Trace, TraceBuilder};
+use workload::{poisson_trace, ServiceDistribution, Trace};
 
 #[derive(Debug, Clone)]
 struct Case {
@@ -61,12 +61,14 @@ fn trace_for(case: &Case, requests: usize) -> Trace {
         ServiceDistribution::Exponential { mean }
     };
     let cores = case.groups * case.group_size;
-    let rate = PoissonProcess::rate_for_load(case.load, cores, dist.mean());
-    TraceBuilder::new(PoissonProcess::new(rate), dist)
-        .requests(requests)
-        .connections(case.connections)
-        .seed(case.seed)
-        .build()
+    poisson_trace(
+        dist,
+        case.load,
+        cores,
+        requests,
+        case.connections,
+        case.seed,
+    )
 }
 
 /// Records one run of `case` at `granularity` and parses the section back.

@@ -6,7 +6,7 @@
 use altocumulus::{AcConfig, Altocumulus, Attachment, Interface};
 use proptest::prelude::*;
 use simcore::time::SimDuration;
-use workload::{PoissonProcess, ServiceDistribution, TraceBuilder};
+use workload::{poisson_trace, ServiceDistribution};
 
 #[derive(Debug, Clone)]
 struct SysCase {
@@ -92,12 +92,7 @@ proptest! {
             mean: SimDuration::from_ns(850),
         };
         let cores = case.groups * case.group_size;
-        let rate = PoissonProcess::rate_for_load(case.load, cores, dist.mean());
-        let trace = TraceBuilder::new(PoissonProcess::new(rate), dist)
-            .requests(1500)
-            .connections(case.connections)
-            .seed(case.seed)
-            .build();
+        let trace = poisson_trace(dist, case.load, cores, 1500, case.connections, case.seed);
         let r = build(&case, dist.mean()).run_detailed(&trace);
 
         // Every request completes exactly once.
@@ -128,12 +123,7 @@ proptest! {
     fn system_deterministic(case in case_strategy()) {
         let dist = ServiceDistribution::Fixed(SimDuration::from_ns(850));
         let cores = case.groups * case.group_size;
-        let rate = PoissonProcess::rate_for_load(case.load, cores, dist.mean());
-        let trace = TraceBuilder::new(PoissonProcess::new(rate), dist)
-            .requests(800)
-            .connections(case.connections)
-            .seed(case.seed)
-            .build();
+        let trace = poisson_trace(dist, case.load, cores, 800, case.connections, case.seed);
         let a = build(&case, dist.mean()).run_detailed(&trace);
         let b = build(&case, dist.mean()).run_detailed(&trace);
         prop_assert_eq!(a.system.p99(), b.system.p99());

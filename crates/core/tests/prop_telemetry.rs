@@ -18,7 +18,7 @@ use proptest::test_runner::TestCaseError;
 use simcore::telemetry::SpanPoint;
 use simcore::time::SimDuration;
 use std::collections::HashMap;
-use workload::{PoissonProcess, ServiceDistribution, TraceBuilder};
+use workload::{poisson_trace, ServiceDistribution};
 
 #[derive(Debug, Clone)]
 struct TelCase {
@@ -98,12 +98,7 @@ fn check_traced(case: &TelCase) -> Result<f64, TestCaseError> {
         mean: SimDuration::from_ns(850),
     };
     let cores = case.groups * case.group_size;
-    let rate = PoissonProcess::rate_for_load(case.load, cores, dist.mean());
-    let trace = TraceBuilder::new(PoissonProcess::new(rate), dist)
-        .requests(3000)
-        .connections(case.connections)
-        .seed(case.seed)
-        .build();
+    let trace = poisson_trace(dist, case.load, cores, 3000, case.connections, case.seed);
 
     let mut tel = Telemetry::new();
     let r = build(case, dist.mean()).run_traced(&trace, &mut tel);

@@ -9,13 +9,12 @@
 //! - preemption costs a context switch / IPI, so the quantum is ~5 µs;
 //! - one core is lost to dispatching.
 
-use crate::common::{OccTable, QueuedRequest, RpcSystem, SystemResult};
+use crate::common::{drive, OccTable, QueuedRequest, RpcSystem, SystemResult};
 use rpcstack::nic::{NicModel, Transfer};
 use rpcstack::stack::StackModel;
-use simcore::event::{run_streamed, EventQueue, StreamInjector, World};
+use simcore::event::{EventQueue, World};
 use simcore::time::{SimDuration, SimTime};
 use std::collections::VecDeque;
-use workload::request::Completion;
 use workload::trace::Trace;
 
 /// Configuration of the centralized-dispatch system.
@@ -139,31 +138,18 @@ impl World for CentralWorld<'_> {
                 self.try_dispatch(now, q);
             }
             Ev::Deliver(widx, qr) => {
-                let slice = match self.cfg.quantum {
-                    Some(qt) => qr.remaining.min(qt),
-                    None => qr.remaining,
-                };
                 self.busy[widx] = Some(qr);
-                q.push(now + slice, Ev::SliceDone(widx));
+                q.push(now + qr.slice(self.cfg.quantum), Ev::SliceDone(widx));
                 self.try_dispatch(now, q);
             }
             Ev::SliceDone(widx) => {
                 let mut qr = self.busy[widx].take().expect("slice on idle worker");
-                let ran = match self.cfg.quantum {
-                    Some(qt) => qr.remaining.min(qt),
-                    None => qr.remaining,
-                };
-                qr.remaining = qr.remaining.saturating_sub(ran);
+                qr.remaining = qr.remaining.saturating_sub(qr.slice(self.cfg.quantum));
                 if qr.remaining.is_zero() {
                     self.occ.decr(widx);
                     let req = &self.trace.requests()[qr.idx];
-                    self.result.record(Completion {
-                        id: req.id,
-                        arrival: req.arrival,
-                        finish: now,
-                        core: widx + 1, // worker cores are 1..cores
-                        migrated: false,
-                    });
+                    // Worker cores are 1..cores.
+                    self.result.complete(req, now, widx + 1, false);
                     self.try_dispatch(now, q);
                 } else {
                     // Preempted: requeue at the central tail; the worker pays
@@ -189,24 +175,7 @@ impl RpcSystem for CentralDispatch {
     }
 
     fn run(&mut self, trace: &Trace) -> SystemResult {
-        // Arrivals stream into the queue in chunks as time advances; seqs
-        // reserved in trace order keep the pop order byte-identical to an
-        // upfront pre-push while the queue stays O(in-flight).
-        let mut queue = EventQueue::new();
-        let base_seq = queue.reserve_seqs(trace.len() as u64);
-        let requests = trace.requests();
-        let mac_delay = self.cfg.nic.mac_delay;
-        let transfer = self.cfg.transfer;
-        let mut source = StreamInjector::new(
-            trace.len(),
-            base_seq,
-            |i: usize| requests[i].arrival + mac_delay,
-            |i: usize| {
-                let req = &requests[i];
-                let deliver = req.arrival + mac_delay + transfer.latency(req.size_bytes);
-                (deliver, Ev::Enqueue(i))
-            },
-        );
+        let (mac_delay, transfer) = (self.cfg.nic.mac_delay, self.cfg.transfer);
         let mut world = CentralWorld {
             trace,
             cfg: self.cfg.clone(),
@@ -216,7 +185,16 @@ impl RpcSystem for CentralDispatch {
             dispatcher_free_at: SimTime::ZERO,
             result: SystemResult::with_capacity(trace.len()),
         };
-        run_streamed(&mut world, &mut queue, &mut source, SimTime::MAX);
+        drive(
+            &mut world,
+            trace,
+            mac_delay,
+            |i, req| {
+                let deliver = req.arrival + mac_delay + transfer.latency(req.size_bytes);
+                (deliver, Ev::Enqueue(i))
+            },
+            |_, _| {},
+        );
         world.result
     }
 }
@@ -228,15 +206,10 @@ mod tests {
     use crate::stealing::{StealingConfig, WorkStealing};
     use workload::arrival::{DeterministicProcess, PoissonProcess};
     use workload::dist::ServiceDistribution;
-    use workload::trace::TraceBuilder;
+    use workload::trace::{poisson_trace, TraceBuilder};
 
     fn trace(dist: ServiceDistribution, load: f64, cores: usize, n: usize) -> Trace {
-        let rate = PoissonProcess::rate_for_load(load, cores, dist.mean());
-        TraceBuilder::new(PoissonProcess::new(rate), dist)
-            .requests(n)
-            .connections(64)
-            .seed(21)
-            .build()
+        poisson_trace(dist, load, cores, n, 64, 21)
     }
 
     #[test]

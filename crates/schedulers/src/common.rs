@@ -1,5 +1,7 @@
-//! Types shared by all simulated scheduling systems.
+//! Types shared by all simulated scheduling systems, and [`drive`], the
+//! run harness every system's `run` goes through.
 
+use simcore::event::{run_streamed, EventQueue, RunSummary, StreamInjector, World};
 use simcore::metrics::{LatencyHistogram, LatencySummary};
 use simcore::time::{SimDuration, SimTime};
 use workload::request::{Completion, Request};
@@ -28,6 +30,12 @@ impl QueuedRequest {
             enqueued,
             migrated: false,
         }
+    }
+
+    /// The next run slice under preemption quantum `quantum`: the whole
+    /// remaining time when the system does not preempt.
+    pub(crate) fn slice(&self, quantum: Option<SimDuration>) -> SimDuration {
+        quantum.map_or(self.remaining, |qt| self.remaining.min(qt))
     }
 }
 
@@ -59,6 +67,17 @@ impl SystemResult {
         self.hist.record(completion.latency());
         self.end_time = self.end_time.max(completion.finish);
         self.completions.push(completion);
+    }
+
+    /// Records trace request `req` finishing at `finish` on `core`.
+    pub fn complete(&mut self, req: &Request, finish: SimTime, core: usize, migrated: bool) {
+        self.record(Completion {
+            id: req.id,
+            arrival: req.arrival,
+            finish,
+            core,
+            migrated,
+        });
     }
 
     /// 99th-percentile latency — the paper's SLO metric.
@@ -116,6 +135,36 @@ pub trait RpcSystem {
 
     /// Consumes `trace` and returns the measured result.
     fn run(&mut self, trace: &Trace) -> SystemResult;
+}
+
+/// Runs `world` over `trace` on simcore's one simulation loop: the harness
+/// behind every system's `run`, ALTOCUMULUS included.
+///
+/// One arrival seq is reserved per request, in trace order; then `setup`
+/// pushes what the system schedules up front (fault strikes, first manager
+/// ticks). Arrival `i` streams in lazily, scheduled where `arrive(i, req)`
+/// says, behind the watermark `req.arrival + nic_delay` (so `nic_delay`
+/// must not exceed any arrival's delay to its event). Reserved seqs and
+/// in-order `arrive` calls make the run byte-identical to an upfront push
+/// of every arrival, with an O(in-flight) queue.
+pub fn drive<W: World>(
+    world: &mut W,
+    trace: &Trace,
+    nic_delay: SimDuration,
+    mut arrive: impl FnMut(usize, &Request) -> (SimTime, W::Event),
+    setup: impl FnOnce(&mut W, &mut EventQueue<W::Event>),
+) -> RunSummary {
+    let requests = trace.requests();
+    let mut queue = EventQueue::new();
+    let base_seq = queue.reserve_seqs(requests.len() as u64);
+    setup(world, &mut queue);
+    let mut arrivals = StreamInjector::new(
+        requests.len(),
+        base_seq,
+        |i: usize| requests[i].arrival + nic_delay,
+        |i: usize| arrive(i, &requests[i]),
+    );
+    run_streamed(world, &mut queue, &mut arrivals, SimTime::MAX)
 }
 
 /// Dense per-core occupancy plane — the *hot* state every scheduling

@@ -6,16 +6,15 @@
 //! load-oblivious — the paper's example of unpredictable tail latency under
 //! imbalance or dispersed service times.
 
-use crate::common::{on_core_cost, OccTable, QueuedRequest, RpcSystem, SystemResult};
+use crate::common::{drive, on_core_cost, OccTable, QueuedRequest, RpcSystem, SystemResult};
 use rand::rngs::StdRng;
 use rpcstack::nic::{NicModel, Steering, Transfer};
 use rpcstack::stack::StackModel;
-use simcore::event::{run_streamed, EventQueue, StreamInjector, World};
+use simcore::event::{EventQueue, World};
 use simcore::faults::FaultPlan;
 use simcore::rng::{stream_rng, streams};
 use simcore::time::{SimDuration, SimTime};
 use std::collections::VecDeque;
-use workload::request::Completion;
 use workload::trace::Trace;
 
 /// Configuration of a d-FCFS system.
@@ -79,10 +78,7 @@ impl DFcfs {
     /// Panics if `cores` is zero.
     pub fn new(cfg: DFcfsConfig) -> Self {
         assert!(cfg.cores > 0, "need at least one core");
-        cfg.faults.validate();
-        for f in &cfg.faults.worker_failures {
-            assert!(f.core < cfg.cores, "failure targets a nonexistent core");
-        }
+        cfg.faults.validate_cores(cfg.cores);
         DFcfs { cfg }
     }
 }
@@ -153,13 +149,7 @@ impl World for DFcfsWorld<'_> {
                 let qr = self.in_service[core].take().expect("Done on an idle core");
                 self.occ.decr(core);
                 let req = &self.trace.requests()[qr.idx];
-                self.result.record(Completion {
-                    id: req.id,
-                    arrival: req.arrival,
-                    finish: now,
-                    core,
-                    migrated: false,
-                });
+                self.result.complete(req, now, core, false);
                 if let Some(next) = self.queues[core].pop_front() {
                     self.start(core, next, now, q);
                 }
@@ -184,26 +174,8 @@ impl RpcSystem for DFcfs {
     fn run(&mut self, trace: &Trace) -> SystemResult {
         let mut steering = self.cfg.steering.clone();
         let mut rng: StdRng = stream_rng(self.cfg.seed, streams::NIC);
-        // Streamed arrivals: seqs reserved in trace order keep pop order —
-        // and the per-arrival steering RNG draws — identical to the old
-        // upfront pre-push, with an O(in-flight) queue.
-        let mut queue = EventQueue::new();
-        let base_seq = queue.reserve_seqs(trace.len() as u64);
-        let requests = trace.requests();
-        let mac_delay = self.cfg.nic.mac_delay;
-        let transfer = self.cfg.transfer;
-        let cores = self.cfg.cores;
-        let mut source = StreamInjector::new(
-            trace.len(),
-            base_seq,
-            |i: usize| requests[i].arrival + mac_delay,
-            |i: usize| {
-                let req = &requests[i];
-                let core = steering.steer(req.conn, cores, &mut rng);
-                let deliver = req.arrival + mac_delay + transfer.latency(req.size_bytes);
-                (deliver, Ev::Enqueue(i, core))
-            },
-        );
+        let (mac_delay, transfer, cores) =
+            (self.cfg.nic.mac_delay, self.cfg.transfer, self.cfg.cores);
         let mut world = DFcfsWorld {
             trace,
             cfg: self.cfg.clone(),
@@ -212,10 +184,21 @@ impl RpcSystem for DFcfs {
             occ: OccTable::new(self.cfg.cores),
             result: SystemResult::with_capacity(trace.len()),
         };
-        for f in &self.cfg.faults.worker_failures {
-            queue.push(f.at, Ev::Fail(f.core));
-        }
-        run_streamed(&mut world, &mut queue, &mut source, SimTime::MAX);
+        drive(
+            &mut world,
+            trace,
+            mac_delay,
+            |i, req| {
+                let core = steering.steer(req.conn, cores, &mut rng);
+                let deliver = req.arrival + mac_delay + transfer.latency(req.size_bytes);
+                (deliver, Ev::Enqueue(i, core))
+            },
+            |w, q| {
+                for f in &w.cfg.faults.worker_failures {
+                    q.push(f.at, Ev::Fail(f.core));
+                }
+            },
+        );
         world.result
     }
 }
@@ -224,18 +207,12 @@ impl RpcSystem for DFcfs {
 mod tests {
     use super::*;
     use crate::common::completion_digest;
-    use workload::arrival::PoissonProcess;
     use workload::dist::ServiceDistribution;
-    use workload::trace::TraceBuilder;
+    use workload::trace::poisson_trace;
 
     fn trace(load: f64, cores: usize, n: usize) -> Trace {
         let dist = ServiceDistribution::Fixed(SimDuration::from_us(1));
-        let rate = PoissonProcess::rate_for_load(load, cores, dist.mean());
-        TraceBuilder::new(PoissonProcess::new(rate), dist)
-            .requests(n)
-            .connections(256)
-            .seed(42)
-            .build()
+        poisson_trace(dist, load, cores, n, 256, 42)
     }
 
     #[test]
@@ -288,12 +265,7 @@ mod tests {
         // With few connections, RSS hashing concentrates load; per-packet
         // round-robin balances perfectly. Tail must be worse for RSS.
         let dist = ServiceDistribution::Fixed(SimDuration::from_us(1));
-        let rate = PoissonProcess::rate_for_load(0.7, 8, dist.mean());
-        let t = TraceBuilder::new(PoissonProcess::new(rate), dist)
-            .requests(30_000)
-            .connections(6) // fewer connections than cores
-            .seed(1)
-            .build();
+        let t = poisson_trace(dist, 0.7, 8, 30_000, 6, 1); // fewer connections than cores
         let mut rss = DFcfs::new(DFcfsConfig::rss(8));
         let mut rr = DFcfs::new(DFcfsConfig {
             steering: Steering::round_robin(),

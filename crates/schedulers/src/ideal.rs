@@ -9,11 +9,10 @@
 //!   correlates it with whether that request eventually violated its SLO —
 //!   the characterization from which the threshold model is calibrated.
 
-use crate::common::{QueuedRequest, RpcSystem, SystemResult};
-use simcore::event::{run_streamed, EventQueue, StreamInjector, World};
+use crate::common::{drive, QueuedRequest, RpcSystem, SystemResult};
+use simcore::event::{EventQueue, World};
 use simcore::time::{SimDuration, SimTime};
 use std::collections::VecDeque;
-use workload::request::Completion;
 use workload::trace::Trace;
 
 /// Configuration of the idealized central-queue system.
@@ -117,17 +116,6 @@ impl CentralQueue {
 
     /// Runs with queue-length instrumentation.
     pub fn run_instrumented(&mut self, trace: &Trace) -> InstrumentedResult {
-        // Streamed arrivals: reserved seqs keep pop order identical to the
-        // old upfront pre-push while the queue stays O(in-flight).
-        let mut queue = EventQueue::new();
-        let base_seq = queue.reserve_seqs(trace.len() as u64);
-        let requests = trace.requests();
-        let mut source = StreamInjector::new(
-            trace.len(),
-            base_seq,
-            |i: usize| requests[i].arrival,
-            |i: usize| (requests[i].arrival, Ev::Arrival(i)),
-        );
         let mut world = CqWorld {
             trace,
             cfg: self.cfg,
@@ -136,7 +124,13 @@ impl CentralQueue {
             arrival_queue_len: vec![0; trace.len()],
             result: SystemResult::with_capacity(trace.len()),
         };
-        run_streamed(&mut world, &mut queue, &mut source, SimTime::MAX);
+        drive(
+            &mut world,
+            trace,
+            SimDuration::ZERO,
+            |i, req| (req.arrival, Ev::Arrival(i)),
+            |_, _| {},
+        );
         InstrumentedResult {
             system: world.result,
             arrival_queue_len: world.arrival_queue_len,
@@ -184,13 +178,7 @@ impl World for CqWorld<'_> {
             Ev::Done(core) => {
                 let qr = self.running[core].take().expect("Done on idle core");
                 let req = &self.trace.requests()[qr.idx];
-                self.result.record(Completion {
-                    id: req.id,
-                    arrival: req.arrival,
-                    finish: now,
-                    core,
-                    migrated: false,
-                });
+                self.result.complete(req, now, core, false);
                 if let Some(next) = self.central.pop_front() {
                     self.start(core, next, now, q);
                 }
@@ -216,14 +204,10 @@ mod tests {
     use queueing::erlang::MmK;
     use workload::arrival::PoissonProcess;
     use workload::dist::ServiceDistribution;
-    use workload::trace::TraceBuilder;
+    use workload::trace::poisson_trace;
 
     fn trace(dist: ServiceDistribution, load: f64, cores: usize, n: usize, seed: u64) -> Trace {
-        let rate = PoissonProcess::rate_for_load(load, cores, dist.mean());
-        TraceBuilder::new(PoissonProcess::new(rate), dist)
-            .requests(n)
-            .seed(seed)
-            .build()
+        poisson_trace(dist, load, cores, n, 64, seed)
     }
 
     #[test]

@@ -15,14 +15,13 @@
 //! *counts* — is exactly what produces its 15.8× tail blow-up on dispersed
 //! service times (Fig. 10), which this model reproduces.
 
-use crate::common::{OccTable, QueuedRequest, RpcSystem, SystemResult};
+use crate::common::{drive, OccTable, QueuedRequest, RpcSystem, SystemResult};
 use rpcstack::nic::{NicModel, Transfer};
 use rpcstack::stack::StackModel;
-use simcore::event::{run_streamed, EventQueue, StreamInjector, World};
+use simcore::event::{EventQueue, World};
 use simcore::faults::FaultPlan;
 use simcore::time::{SimDuration, SimTime};
 use std::collections::VecDeque;
-use workload::request::Completion;
 use workload::trace::Trace;
 
 /// Which published system the JBSQ model instantiates.
@@ -122,21 +121,14 @@ impl Jbsq {
     ///
     /// Panics if `cores` is zero.
     pub fn new(variant: JbsqVariant, cores: usize) -> Self {
-        assert!(cores > 0);
-        Jbsq {
-            cfg: JbsqConfig::of(variant, cores),
-            variant,
-        }
+        Self::with_config(variant, JbsqConfig::of(variant, cores))
     }
 
     /// Creates a custom configuration (for ablations).
     pub fn with_config(variant: JbsqVariant, cfg: JbsqConfig) -> Self {
         assert!(cfg.cores > 0);
         assert!(cfg.bound > 0, "JBSQ bound must be positive");
-        cfg.faults.validate();
-        for f in &cfg.faults.worker_failures {
-            assert!(f.core < cfg.cores, "failure targets a nonexistent core");
-        }
+        cfg.faults.validate_cores(cfg.cores);
         Jbsq { cfg, variant }
     }
 }
@@ -229,10 +221,7 @@ impl JbsqWorld<'_> {
         let Some(qr) = self.local[core].pop_front() else {
             return;
         };
-        let slice = match self.cfg.quantum {
-            Some(qt) => qr.remaining.min(qt),
-            None => qr.remaining,
-        };
+        let slice = qr.slice(self.cfg.quantum);
         // A straggling core runs its slice slower (wall time inflated) but
         // accomplishes the same nominal work; identity on healthy runs.
         let wall = self.cfg.faults.inflate(core, now, slice);
@@ -272,20 +261,10 @@ impl World for JbsqWorld<'_> {
                 // Either way the request leaves this core's bound: done, or
                 // requeued at the NIC's central queue.
                 self.occ.decr(core);
-                let ran = match self.cfg.quantum {
-                    Some(qt) => qr.remaining.min(qt),
-                    None => qr.remaining,
-                };
-                qr.remaining = qr.remaining.saturating_sub(ran);
+                qr.remaining = qr.remaining.saturating_sub(qr.slice(self.cfg.quantum));
                 if qr.remaining.is_zero() {
                     let req = &self.trace.requests()[qr.idx];
-                    self.result.record(Completion {
-                        id: req.id,
-                        arrival: req.arrival,
-                        finish: now,
-                        core,
-                        migrated: false,
-                    });
+                    self.result.complete(req, now, core, false);
                     self.start_if_idle(core, now, q);
                     self.try_push(domain, now, q);
                 } else {
@@ -327,26 +306,7 @@ impl RpcSystem for Jbsq {
         let domains = n.div_ceil(self.cfg.domain_size);
         let mut steering = rpcstack::nic::Steering::rss();
         let mut rng = simcore::rng::stream_rng(0, simcore::rng::streams::NIC);
-        // Streamed arrivals: reserved seqs keep pop order and steering RNG
-        // draws identical to the old upfront pre-push.
-        let mut queue = EventQueue::new();
-        let base_seq = queue.reserve_seqs(trace.len() as u64);
-        let requests = trace.requests();
         let mac_delay = self.cfg.nic.mac_delay;
-        let mut source = StreamInjector::new(
-            trace.len(),
-            base_seq,
-            |i: usize| requests[i].arrival + mac_delay,
-            |i: usize| {
-                let req = &requests[i];
-                let domain = if domains == 1 {
-                    0
-                } else {
-                    steering.steer(req.conn, domains, &mut rng)
-                };
-                (req.arrival + mac_delay, Ev::NicEnqueue(i, domain))
-            },
-        );
         let mut world = JbsqWorld {
             trace,
             cfg: self.cfg.clone(),
@@ -358,10 +318,24 @@ impl RpcSystem for Jbsq {
             occ: OccTable::new(n),
             result: SystemResult::with_capacity(trace.len()),
         };
-        for f in &self.cfg.faults.worker_failures {
-            queue.push(f.at, Ev::Fail(f.core));
-        }
-        run_streamed(&mut world, &mut queue, &mut source, SimTime::MAX);
+        drive(
+            &mut world,
+            trace,
+            mac_delay,
+            |i, req| {
+                let domain = if domains == 1 {
+                    0
+                } else {
+                    steering.steer(req.conn, domains, &mut rng)
+                };
+                (req.arrival + mac_delay, Ev::NicEnqueue(i, domain))
+            },
+            |w, q| {
+                for f in &w.cfg.faults.worker_failures {
+                    q.push(f.at, Ev::Fail(f.core));
+                }
+            },
+        );
         world.result
     }
 }
@@ -370,17 +344,11 @@ impl RpcSystem for Jbsq {
 mod tests {
     use super::*;
     use crate::common::completion_digest;
-    use workload::arrival::PoissonProcess;
     use workload::dist::ServiceDistribution;
-    use workload::trace::TraceBuilder;
+    use workload::trace::poisson_trace;
 
     fn trace(dist: ServiceDistribution, load: f64, cores: usize, n: usize) -> Trace {
-        let rate = PoissonProcess::rate_for_load(load, cores, dist.mean());
-        TraceBuilder::new(PoissonProcess::new(rate), dist)
-            .requests(n)
-            .connections(64)
-            .seed(31)
-            .build()
+        poisson_trace(dist, load, cores, n, 64, 31)
     }
 
     #[test]

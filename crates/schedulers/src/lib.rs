@@ -14,7 +14,13 @@
 //! - [`catalog`]: Table I as data.
 //!
 //! All systems implement [`common::RpcSystem`]: feed a `workload::Trace`, get
-//! a [`common::SystemResult`].
+//! a [`common::SystemResult`]. Every `run` — these baselines and
+//! ALTOCUMULUS alike — builds its world and hands it to one harness,
+//! [`common::drive`], with two closures: how arrival `i` is steered (its
+//! delivery time and event) and what to schedule before the first event
+//! (fault strikes, initial ticks). The harness owns seq reservation,
+//! streamed arrival injection and simcore's single run loop, so every
+//! system sees the same arrival, fault and completion plumbing.
 //!
 //! # Examples
 //!

@@ -12,17 +12,16 @@
 //! There is no preemption: a long request in service blocks its core, which
 //! is what Shinjuku (and Altocumulus) fix.
 
-use crate::common::{on_core_cost, OccTable, QueuedRequest, RpcSystem, SystemResult};
+use crate::common::{drive, on_core_cost, OccTable, QueuedRequest, RpcSystem, SystemResult};
 use interconnect::offchip::MemoryModel;
 use rand::rngs::StdRng;
 use rand::Rng;
 use rpcstack::nic::{NicModel, Steering, Transfer};
 use rpcstack::stack::StackModel;
-use simcore::event::{run_streamed, EventQueue, StreamInjector, World};
+use simcore::event::{EventQueue, World};
 use simcore::rng::{stream_rng, streams, BatchedRng};
 use simcore::time::{SimDuration, SimTime};
 use std::collections::VecDeque;
-use workload::request::Completion;
 use workload::trace::Trace;
 
 /// Configuration for the work-stealing system.
@@ -198,13 +197,7 @@ impl World for StealWorld<'_> {
                 let qr = self.in_service[core].take().expect("Done on idle core");
                 self.occ.decr(core);
                 let req = &self.trace.requests()[qr.idx];
-                self.result.record(Completion {
-                    id: req.id,
-                    arrival: req.arrival,
-                    finish: now,
-                    core,
-                    migrated: qr.migrated,
-                });
+                self.result.complete(req, now, core, qr.migrated);
                 if let Some((mut next, overhead, was_steal)) = self.find_work(core) {
                     if was_steal {
                         self.stolen += 1;
@@ -225,25 +218,8 @@ impl RpcSystem for WorkStealing {
     fn run(&mut self, trace: &Trace) -> SystemResult {
         let mut steering = self.cfg.steering.clone();
         let mut nic_rng: StdRng = stream_rng(self.cfg.seed, streams::NIC);
-        // Streamed arrivals: reserved seqs keep pop order and steering RNG
-        // draws identical to the old upfront pre-push.
-        let mut queue = EventQueue::new();
-        let base_seq = queue.reserve_seqs(trace.len() as u64);
-        let requests = trace.requests();
-        let mac_delay = self.cfg.nic.mac_delay;
-        let transfer = self.cfg.transfer;
-        let cores = self.cfg.cores;
-        let mut source = StreamInjector::new(
-            trace.len(),
-            base_seq,
-            |i: usize| requests[i].arrival + mac_delay,
-            |i: usize| {
-                let req = &requests[i];
-                let core = steering.steer(req.conn, cores, &mut nic_rng);
-                let deliver = req.arrival + mac_delay + transfer.latency(req.size_bytes);
-                (deliver, Ev::Enqueue(i, core))
-            },
-        );
+        let (mac_delay, transfer, cores) =
+            (self.cfg.nic.mac_delay, self.cfg.transfer, self.cfg.cores);
         let mut world = StealWorld {
             trace,
             cfg: self.cfg.clone(),
@@ -254,7 +230,17 @@ impl RpcSystem for WorkStealing {
             stolen: 0,
             result: SystemResult::with_capacity(trace.len()),
         };
-        run_streamed(&mut world, &mut queue, &mut source, SimTime::MAX);
+        drive(
+            &mut world,
+            trace,
+            mac_delay,
+            |i, req| {
+                let core = steering.steer(req.conn, cores, &mut nic_rng);
+                let deliver = req.arrival + mac_delay + transfer.latency(req.size_bytes);
+                (deliver, Ev::Enqueue(i, core))
+            },
+            |_, _| {},
+        );
         self.stolen = world.stolen;
         world.result
     }
@@ -265,17 +251,11 @@ mod tests {
     use super::*;
     use crate::common::completion_digest;
     use crate::dfcfs::{DFcfs, DFcfsConfig};
-    use workload::arrival::PoissonProcess;
     use workload::dist::ServiceDistribution;
-    use workload::trace::TraceBuilder;
+    use workload::trace::poisson_trace;
 
     fn trace(dist: ServiceDistribution, load: f64, cores: usize, n: usize, conns: u32) -> Trace {
-        let rate = PoissonProcess::rate_for_load(load, cores, dist.mean());
-        TraceBuilder::new(PoissonProcess::new(rate), dist)
-            .requests(n)
-            .connections(conns)
-            .seed(11)
-            .build()
+        poisson_trace(dist, load, cores, n, conns, 11)
     }
 
     #[test]

@@ -592,44 +592,30 @@ pub struct RunSummary {
     pub peak_queue: usize,
 }
 
-/// A lazily-injected, time-ordered stream of externally-generated events
-/// (arrivals), consumed by [`run_streamed`].
-///
-/// The contract that keeps streamed runs byte-identical to upfront pushes:
-///
-/// 1. `next_time()` is a *lower bound* on the scheduled time of every event
-///    the source has not yet injected, and is non-decreasing across
-///    injections.
-/// 2. `inject_chunk` injects at least one event (in stream order, under
-///    seqs reserved via [`EventQueue::reserve_seqs`]) whenever `next_time()`
-///    is `Some`.
-///
-/// How far past one event a chunk reaches is the source's choice: the run
-/// loop never pops an event at or after `next_time()`, so a short chunk
-/// only costs an extra refill.
-pub trait EventSource<E> {
-    /// Lower bound on the time of the next not-yet-injected event, or
-    /// `None` once the stream is exhausted.
-    fn next_time(&self) -> Option<SimTime>;
-
-    /// Injects the next chunk of events into `queue`.
-    fn inject_chunk(&mut self, queue: &mut EventQueue<E>);
-}
-
 /// Default cap on the arrivals a [`StreamInjector`] pushes per refill.
 ///
 /// Large enough to amortize the refill check, small enough that the queue
 /// population stays O(in-flight + chunk) rather than O(trace).
 pub const DEFAULT_INJECT_CHUNK: usize = 1024;
 
-/// An [`EventSource`] over an indexed stream `0..len`: `lower_bound(i)`
-/// gives the watermark for item `i` without side effects, `make(i)` is
-/// called exactly once per item, in order, to produce `(time, event)`.
+/// A lazily-injected, time-ordered stream `0..len` of externally-generated
+/// events (arrivals), consumed by [`run_streamed`]. `lower_bound(i)` gives
+/// the watermark for item `i` without side effects; `make(i)` is called
+/// exactly once per item, in order, to produce `(time, event)`.
+///
+/// The contract that keeps streamed runs byte-identical to upfront pushes:
+///
+/// 1. `lower_bound(i) <= ` the time `make(i)` returns, and `lower_bound` is
+///    non-decreasing in `i`, so [`next_time`](Self::next_time) bounds every
+///    event not yet injected.
+/// 2. The items' seqs were reserved in stream order with
+///    [`EventQueue::reserve_seqs`], starting at `base_seq`.
 ///
 /// A refill injects up to `chunk` items, stopping early at the first whose
 /// lower bound lies past the end of the queue's calendar window: an arrival
 /// pushed there could only wait in the overflow heap. It always injects at
-/// least one item.
+/// least one item; the run loop never pops an event at or after
+/// `next_time()`, so a short chunk only costs an extra refill.
 ///
 /// Splitting the two closures lets `make` consume per-arrival state (e.g.
 /// a steering RNG) in exactly the order an upfront push loop would have,
@@ -666,18 +652,22 @@ impl<L, M> StreamInjector<L, M> {
             make,
         }
     }
-}
 
-impl<E, L, M> EventSource<E> for StreamInjector<L, M>
-where
-    L: Fn(usize) -> SimTime,
-    M: FnMut(usize) -> (SimTime, E),
-{
-    fn next_time(&self) -> Option<SimTime> {
+    /// Lower bound on the time of the next not-yet-injected event, or
+    /// `None` once the stream is exhausted.
+    pub fn next_time(&self) -> Option<SimTime>
+    where
+        L: Fn(usize) -> SimTime,
+    {
         (self.next < self.len).then(|| (self.lower_bound)(self.next))
     }
 
-    fn inject_chunk(&mut self, queue: &mut EventQueue<E>) {
+    /// Injects the next chunk of events into `queue`.
+    pub fn inject_chunk<E>(&mut self, queue: &mut EventQueue<E>)
+    where
+        L: Fn(usize) -> SimTime,
+        M: FnMut(usize) -> (SimTime, E),
+    {
         let end = (self.next + self.chunk).min(self.len);
         let mut i = self.next;
         while i < end {
@@ -701,82 +691,60 @@ where
 }
 
 /// Drains `queue` through `world` until the queue empties, `horizon` passes,
-/// or the world requests a stop.
-///
-/// Events scheduled beyond `horizon` are left unprocessed. The loop does a
-/// single pop per event; a popped beyond-horizon event is reinserted with its
-/// original sequence number, so FIFO tie-breaking survives intact.
+/// or the world requests a stop: [`run_streamed`] with a stream that is
+/// exhausted from the start.
 pub fn run<W: World>(
     world: &mut W,
     queue: &mut EventQueue<W::Event>,
     horizon: SimTime,
 ) -> RunSummary {
-    let mut events = 0u64;
-    let mut now = SimTime::ZERO;
-    let mut peak = queue.len();
-    while let Some(s) = queue.pop_before(None) {
-        if s.time > horizon {
-            queue.push_scheduled(s);
-            return RunSummary {
-                events,
-                end_time: now,
-                stopped_early: false,
-                peak_queue: peak,
-            };
-        }
-        debug_assert!(s.time >= now, "event queue went backwards in time");
-        now = s.time;
-        world.observe(now, s.seq, &s.event);
-        world.handle(now, s.event, queue);
-        events += 1;
-        peak = peak.max(queue.len());
-        if world.should_stop(now) {
-            return RunSummary {
-                events,
-                end_time: now,
-                stopped_early: true,
-                peak_queue: peak,
-            };
-        }
-    }
-    RunSummary {
-        events,
-        end_time: now,
-        stopped_early: false,
-        peak_queue: peak,
-    }
+    let mut exhausted = StreamInjector::new(
+        0,
+        0,
+        |_| SimTime::ZERO,
+        |_| -> (SimTime, W::Event) { unreachable!("an empty stream makes no event") },
+    );
+    run_streamed(world, queue, &mut exhausted, horizon)
 }
 
-/// Like [`run`], but arrivals are pulled lazily from `source` instead of
-/// having been pushed upfront, keeping the queue population at
+/// The simulation loop: drains `queue` through `world`, pulling arrivals
+/// lazily from `source`, until both are exhausted, `horizon` passes, or the
+/// world requests a stop. Lazy injection keeps the queue population at
 /// O(in-flight + chunk) instead of O(trace).
 ///
 /// Pop order (and therefore the entire simulation) is byte-identical to an
-/// upfront push as long as `source` honours the [`EventSource`] contract and
-/// its events were assigned reserved seqs in stream order: the loop pops
-/// only an event strictly earlier than `next_time()`, and when the queue
-/// holds none it refills from the source and tries again. Ties go to the
-/// source because a reserved stream seq precedes any dynamically pushed
-/// one. Nothing is popped and pushed back on a refill.
+/// upfront push as long as `source` honours the [`StreamInjector`]
+/// contract: the loop pops only an event strictly earlier than
+/// `next_time()`, and when the queue holds none it refills from the source
+/// and tries again. Ties go to the source because a reserved stream seq
+/// precedes any dynamically pushed one. Nothing is popped and pushed back
+/// on a refill.
 ///
-/// On a horizon stop, not-yet-injected arrivals remain in `source`; the
-/// queue alone does not hold the full remaining schedule.
-pub fn run_streamed<W: World, S: EventSource<W::Event>>(
+/// Events scheduled beyond `horizon` are left unprocessed: the one popped
+/// beyond it is reinserted with its original seq, so FIFO tie-breaking
+/// survives intact, and not-yet-injected arrivals remain in `source`; the
+/// queue alone then does not hold the full remaining schedule.
+pub fn run_streamed<W, L, M>(
     world: &mut W,
     queue: &mut EventQueue<W::Event>,
-    source: &mut S,
+    source: &mut StreamInjector<L, M>,
     horizon: SimTime,
-) -> RunSummary {
+) -> RunSummary
+where
+    W: World,
+    L: Fn(usize) -> SimTime,
+    M: FnMut(usize) -> (SimTime, W::Event),
+{
     let mut events = 0u64;
     let mut now = SimTime::ZERO;
     let mut peak = queue.len();
     let mut source_next = source.next_time();
-    loop {
+    let stopped_early = loop {
         let Some(s) = queue.pop_before(source_next) else {
             // Nothing pending runs before the source's next event. Refill
             // and retry, or stop once both are exhausted.
             if source_next.is_none() {
-                break;
+                break false;
             }
             source.inject_chunk(queue);
             source_next = source.next_time();
@@ -785,12 +753,7 @@ pub fn run_streamed<W: World, S: EventSource<W::Event>>(
         };
         if s.time > horizon {
             queue.push_scheduled(s);
-            return RunSummary {
-                events,
-                end_time: now,
-                stopped_early: false,
-                peak_queue: peak,
-            };
+            break false;
         }
         debug_assert!(s.time >= now, "event queue went backwards in time");
         now = s.time;
@@ -799,18 +762,13 @@ pub fn run_streamed<W: World, S: EventSource<W::Event>>(
         events += 1;
         peak = peak.max(queue.len());
         if world.should_stop(now) {
-            return RunSummary {
-                events,
-                end_time: now,
-                stopped_early: true,
-                peak_queue: peak,
-            };
+            break true;
         }
-    }
+    };
     RunSummary {
         events,
         end_time: now,
-        stopped_early: false,
+        stopped_early,
         peak_queue: peak,
     }
 }

@@ -188,6 +188,24 @@ impl FaultPlan {
         }
     }
 
+    /// [`validate`](Self::validate)s the plan for a system of `cores`
+    /// cores: every worker failure must also target one of them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plan is invalid or a failure targets a core `>= cores`.
+    pub fn validate_cores(&self, cores: usize) {
+        self.validate();
+        for f in &self.worker_failures {
+            assert!(
+                f.core < cores,
+                "worker failure targets core {} of {}",
+                f.core,
+                cores
+            );
+        }
+    }
+
     /// Combined service-time multiplier for `core` at instant `at`.
     ///
     /// Overlapping straggler intervals compose multiplicatively; a core with

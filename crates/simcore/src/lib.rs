@@ -6,8 +6,10 @@
 //! engine with picosecond-resolution virtual time:
 //!
 //! - [`time`]: [`time::SimTime`] / [`time::SimDuration`] newtypes.
-//! - [`event`]: a deterministic [`event::EventQueue`] plus the
-//!   [`event::World`] trait and [`event::run`] loop.
+//! - [`event`]: a deterministic [`event::EventQueue`], the [`event::World`]
+//!   trait, and the one simulation loop, [`event::run_streamed`], which
+//!   pulls arrivals lazily from a [`event::StreamInjector`];
+//!   [`event::run`] is that loop over a queue pushed up front.
 //! - [`faults`]: seeded, deterministic fault-injection plans.
 //! - [`metrics`]: HDR-style latency histograms, quantiles and SLO accounting.
 //! - [`rng`]: per-component deterministic RNG streams, with
@@ -89,7 +91,7 @@ pub mod time;
 pub mod trace;
 
 pub use event::{
-    run, run_streamed, BinaryHeapQueue, EventQueue, EventSource, RunSummary, StreamInjector, World,
+    run, run_streamed, BinaryHeapQueue, EventQueue, RunSummary, StreamInjector, World,
 };
 pub use faults::{FaultPlan, NocDecision, NocFaultRng};
 pub use metrics::{LatencyHistogram, LatencySummary, SloTracker};

@@ -47,8 +47,6 @@
 //!   golden-trace format: a few hundred bytes per thousand events, still
 //!   localizes a divergence to a `checkpoint_every`-event block (the
 //!   replayer then re-runs at full granularity and prints the block).
-//!
-//! [`choose_engine`]: crate::event::run
 
 use crate::telemetry::{parse_json, Json, SpanLog, SpanPoint, TelemetrySink};
 use crate::time::SimTime;

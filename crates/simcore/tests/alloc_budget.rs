@@ -8,7 +8,7 @@
 //! keeps the process single-threaded for the whole measurement.
 
 use simcore::alloc::CountingAlloc;
-use simcore::event::{run_streamed, EventQueue, EventSource, StreamInjector, World};
+use simcore::event::{run_streamed, EventQueue, StreamInjector, World};
 use simcore::time::{SimDuration, SimTime};
 
 #[global_allocator]

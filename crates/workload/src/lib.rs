@@ -43,4 +43,4 @@ pub use arrival::{ArrivalProcess, DeterministicProcess, MmppProcess, PoissonProc
 pub use dist::ServiceDistribution;
 pub use realworld::clustered_bursty;
 pub use request::{Completion, ConnectionId, Request, RequestId, RequestKind};
-pub use trace::{Trace, TraceBuilder};
+pub use trace::{poisson_trace, Trace, TraceBuilder};

@@ -5,7 +5,7 @@
 //! guarantees that competing schedulers are compared on *identical* arrivals
 //! and service times.
 
-use crate::arrival::ArrivalProcess;
+use crate::arrival::{ArrivalProcess, PoissonProcess};
 use crate::dist::ServiceDistribution;
 use crate::request::{ConnectionId, Request, RequestId, RequestKind};
 use rand::Rng;
@@ -309,6 +309,24 @@ impl<A: ArrivalProcess> TraceBuilder<A> {
         }
         Trace::new(requests)
     }
+}
+
+/// Builds a trace of `requests` Poisson arrivals offering `load` to `cores`
+/// cores of `dist` service, over `connections` connections from `seed`.
+pub fn poisson_trace(
+    dist: ServiceDistribution,
+    load: f64,
+    cores: usize,
+    requests: usize,
+    connections: u32,
+    seed: u64,
+) -> Trace {
+    let rate = PoissonProcess::rate_for_load(load, cores, dist.mean());
+    TraceBuilder::new(PoissonProcess::new(rate), dist)
+        .requests(requests)
+        .connections(connections)
+        .seed(seed)
+        .build()
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@ use queueing::threshold::{r_squared, ThresholdModel};
 use schedulers::ideal::{CentralQueue, CentralQueueConfig};
 use simcore::report::Table;
 use simcore::time::SimDuration;
-use workload::{PoissonProcess, ServiceDistribution, TraceBuilder};
+use workload::{poisson_trace, ServiceDistribution};
 
 fn main() {
     let cores = 64;
@@ -33,11 +33,7 @@ fn main() {
     let mut points = Vec::new();
     let mut table = Table::new(&["load", "E[Nq] (Erlang-C)", "measured T (first violation)"]);
     for &load in &loads {
-        let rate = PoissonProcess::rate_for_load(load, cores, dist.mean());
-        let trace = TraceBuilder::new(PoissonProcess::new(rate), dist)
-            .requests(1_000_000)
-            .seed(5)
-            .build();
+        let trace = poisson_trace(dist, load, cores, 1_000_000, 64, 5);
         let offered = trace.offered_load(cores) * cores as f64;
         let r = CentralQueue::new(CentralQueueConfig::ideal(cores)).run_instrumented(&trace);
         if let Some(t_first) = r.first_violation_queue_len(&trace, slo) {

@@ -9,7 +9,7 @@ use schedulers::ideal::{CentralQueue, CentralQueueConfig};
 use schedulers::jbsq::{Jbsq, JbsqVariant};
 use schedulers::stealing::{StealingConfig, WorkStealing};
 use simcore::time::SimDuration;
-use workload::{PoissonProcess, ServiceDistribution, TraceBuilder};
+use workload::{poisson_trace, PoissonProcess, ServiceDistribution, TraceBuilder};
 
 fn systems(cores: usize, mean: SimDuration) -> Vec<Box<dyn RpcSystem>> {
     vec![
@@ -28,12 +28,7 @@ fn systems(cores: usize, mean: SimDuration) -> Vec<Box<dyn RpcSystem>> {
 #[test]
 fn every_system_completes_every_request() {
     let dist = ServiceDistribution::bimodal_paper();
-    let rate = PoissonProcess::rate_for_load(0.5, 16, dist.mean());
-    let trace = TraceBuilder::new(PoissonProcess::new(rate), dist)
-        .requests(8_000)
-        .connections(64)
-        .seed(101)
-        .build();
+    let trace = poisson_trace(dist, 0.5, 16, 8_000, 64, 101);
     for mut sys in systems(16, dist.mean()) {
         let r = sys.run(&trace);
         assert_eq!(
@@ -93,12 +88,7 @@ fn preemptive_systems_bound_the_bimodal_tail() {
     // With dispersed service times, the preemptive/pooled systems must beat
     // plain RSS by a wide margin at the tail.
     let dist = ServiceDistribution::bimodal_paper();
-    let rate = PoissonProcess::rate_for_load(0.55, 16, dist.mean());
-    let trace = TraceBuilder::new(PoissonProcess::new(rate), dist)
-        .requests(40_000)
-        .connections(64)
-        .seed(7)
-        .build();
+    let trace = poisson_trace(dist, 0.55, 16, 40_000, 64, 7);
     let rss = DFcfs::new(DFcfsConfig::rss(16)).run(&trace);
     let nanopu = Jbsq::new(JbsqVariant::NanoPu, 16).run(&trace);
     let slo = SimDuration::from_us(300);
@@ -132,11 +122,7 @@ fn altocumulus_beats_rss_under_connection_skew() {
 #[test]
 fn throughput_never_exceeds_capacity() {
     let dist = ServiceDistribution::Fixed(SimDuration::from_us(1));
-    let rate = PoissonProcess::rate_for_load(0.9, 16, dist.mean());
-    let trace = TraceBuilder::new(PoissonProcess::new(rate), dist)
-        .requests(30_000)
-        .seed(17)
-        .build();
+    let trace = poisson_trace(dist, 0.9, 16, 30_000, 64, 17);
     let capacity_rps = 16.0 / dist.mean().as_secs_f64();
     for mut sys in systems(16, dist.mean()) {
         let r = sys.run(&trace);

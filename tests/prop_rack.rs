@@ -16,7 +16,7 @@ use altocumulus::{RackConfig, RackResult, RackWorld, RoutePolicy, ServerDeath};
 use proptest::prelude::*;
 use simcore::faults::FaultPlan;
 use simcore::time::SimTime;
-use workload::{PoissonProcess, ServiceDistribution, Trace, TraceBuilder};
+use workload::{poisson_trace, ServiceDistribution, Trace};
 
 #[derive(Debug, Clone)]
 struct Case {
@@ -74,12 +74,14 @@ fn case_strategy() -> impl Strategy<Value = Case> {
 fn build(case: &Case) -> (RackConfig, Trace) {
     let dist = ServiceDistribution::bimodal_paper();
     let cores = case.groups * case.group_size;
-    let rate = PoissonProcess::rate_for_load(case.load, case.servers * cores, dist.mean());
-    let trace = TraceBuilder::new(PoissonProcess::new(rate), dist)
-        .requests(400)
-        .connections(case.connections)
-        .seed(case.seed)
-        .build();
+    let trace = poisson_trace(
+        dist,
+        case.load,
+        case.servers * cores,
+        400,
+        case.connections,
+        case.seed,
+    );
     let horizon = trace.requests().last().unwrap().arrival;
 
     let mut rack = RackConfig::ac(case.servers, case.groups, case.group_size, dist.mean());

@@ -11,16 +11,17 @@
 use altocumulus::{AcConfig, Altocumulus, RackConfig, RackWorld, RoutePolicy, ServerDeath};
 use altocumulus::{ServerSpec, TorConfig};
 use simcore::time::SimTime;
-use workload::{PoissonProcess, ServiceDistribution, Trace, TraceBuilder};
+use workload::{poisson_trace, ServiceDistribution, Trace};
 
 fn trace_for(load: f64, cores: usize, requests: usize, connections: u32, seed: u64) -> Trace {
-    let dist = ServiceDistribution::bimodal_paper();
-    let rate = PoissonProcess::rate_for_load(load, cores, dist.mean());
-    TraceBuilder::new(PoissonProcess::new(rate), dist)
-        .requests(requests)
-        .connections(connections)
-        .seed(seed)
-        .build()
+    poisson_trace(
+        ServiceDistribution::bimodal_paper(),
+        load,
+        cores,
+        requests,
+        connections,
+        seed,
+    )
 }
 
 #[test]

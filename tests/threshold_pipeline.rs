@@ -7,18 +7,14 @@ use queueing::erlang::expected_queue_len;
 use queueing::threshold::ThresholdModel;
 use schedulers::ideal::{CentralQueue, CentralQueueConfig};
 use simcore::time::SimDuration;
-use workload::{PoissonProcess, ServiceDistribution, TraceBuilder};
+use workload::{poisson_trace, ServiceDistribution};
 
 fn measure_threshold_points(cores: usize, loads: &[f64]) -> Vec<(f64, f64)> {
     let dist = ServiceDistribution::Fixed(SimDuration::from_us(1));
     let slo = SimDuration::from_us(10);
     let mut pts = Vec::new();
     for &load in loads {
-        let rate = PoissonProcess::rate_for_load(load, cores, dist.mean());
-        let trace = TraceBuilder::new(PoissonProcess::new(rate), dist)
-            .requests(250_000)
-            .seed(5)
-            .build();
+        let trace = poisson_trace(dist, load, cores, 250_000, 64, 5);
         let offered = trace.offered_load(cores) * cores as f64;
         let r = CentralQueue::new(CentralQueueConfig::ideal(cores)).run_instrumented(&trace);
         if let Some(t) = r.first_violation_queue_len(&trace, slo) {
@@ -64,12 +60,7 @@ fn calibrated_model_drives_runtime() {
     let model = ThresholdModel::fit(cores, &pts);
 
     let dist = ServiceDistribution::Fixed(SimDuration::from_ns(850));
-    let rate = PoissonProcess::rate_for_load(0.85, 64, dist.mean());
-    let trace = TraceBuilder::new(PoissonProcess::new(rate), dist)
-        .requests(50_000)
-        .connections(6)
-        .seed(9)
-        .build();
+    let trace = poisson_trace(dist, 0.85, 64, 50_000, 6, 9);
 
     let mut cfg = AcConfig::ac_int(4, 16, dist.mean());
     cfg.threshold = ThresholdPolicy::Model(model);
@@ -92,12 +83,7 @@ fn accuracy_and_effectiveness_are_consistent() {
     let dist = ServiceDistribution::Exponential {
         mean: SimDuration::from_ns(850),
     };
-    let rate = PoissonProcess::rate_for_load(0.9, 64, dist.mean());
-    let trace = TraceBuilder::new(PoissonProcess::new(rate), dist)
-        .requests(80_000)
-        .connections(8)
-        .seed(11)
-        .build();
+    let trace = poisson_trace(dist, 0.9, 64, 80_000, 8, 11);
     let slo = SimDuration::from_ns_f64(dist.mean().as_ns_f64() * 10.0);
 
     let cfg = AcConfig::ac_int(4, 16, dist.mean());

@@ -5,16 +5,12 @@ use schedulers::common::RpcSystem;
 use schedulers::jbsq::{Jbsq, JbsqVariant};
 use simcore::time::SimDuration;
 use workload::trace::Trace;
-use workload::{PoissonProcess, ServiceDistribution, TraceBuilder};
+use workload::{poisson_trace, PoissonProcess, ServiceDistribution, TraceBuilder};
 
 #[test]
 fn saved_trace_reproduces_simulation() {
     let dist = ServiceDistribution::bimodal_paper();
-    let rate = PoissonProcess::rate_for_load(0.6, 16, dist.mean());
-    let trace = TraceBuilder::new(PoissonProcess::new(rate), dist)
-        .requests(5_000)
-        .seed(23)
-        .build();
+    let trace = poisson_trace(dist, 0.6, 16, 5_000, 64, 23);
 
     let mut buf = Vec::new();
     trace.save(&mut buf).expect("in-memory save");
