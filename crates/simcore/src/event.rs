@@ -605,7 +605,7 @@ pub const DEFAULT_INJECT_CHUNK: usize = 1024;
 ///
 /// The contract that keeps streamed runs byte-identical to upfront pushes:
 ///
-/// 1. `lower_bound(i) <= ` the time `make(i)` returns, and `lower_bound` is
+/// 1. `lower_bound(i)` never exceeds the time `make(i)` returns and is
 ///    non-decreasing in `i`, so [`next_time`](Self::next_time) bounds every
 ///    event not yet injected.
 /// 2. The items' seqs were reserved in stream order with
@@ -663,7 +663,7 @@ impl<L, M> StreamInjector<L, M> {
     }
 
     /// Injects the next chunk of events into `queue`.
-    pub fn inject_chunk<E>(&mut self, queue: &mut EventQueue<E>)
+    fn inject_chunk<E>(&mut self, queue: &mut EventQueue<E>)
     where
         L: Fn(usize) -> SimTime,
         M: FnMut(usize) -> (SimTime, E),

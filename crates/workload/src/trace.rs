@@ -313,6 +313,10 @@ impl<A: ArrivalProcess> TraceBuilder<A> {
 
 /// Builds a trace of `requests` Poisson arrivals offering `load` to `cores`
 /// cores of `dist` service, over `connections` connections from `seed`.
+///
+/// `#[inline]` so that the trace loop is compiled in the calling crate (see
+/// `bench::poisson_trace`).
+#[inline]
 pub fn poisson_trace(
     dist: ServiceDistribution,
     load: f64,
