@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Regenerates every golden fixture under ci/golden/ from the current build:
 #
-#   - <fig>_quick.sha256            pinned sha256 of the --quick stdout
+#   - <name>.sha256                 pinned sha256 of a binary's stdout, one
+#                                   per line of ci/stdout_pins.txt
 #   - <name>_quick.trace.jsonl      TRACE/1.0 run artifact (summary granularity)
 #   - <name>_quick.trace.sha256     pinned sha256 of that artifact
 #   - README.md                     provenance of the blessing build
@@ -19,13 +20,12 @@ echo "==> release build"
 cargo build --release -p bench
 
 echo "==> stdout digests"
-for pair in fig10_comparison:fig10_quick fig13a_scalability:fig13a_quick \
-            rack_sweep:rack_sweep_quick; do
-  bin=${pair%%:*} name=${pair##*:}
-  cargo run -q -p bench --release --bin "$bin" -- --quick \
+while read -r name bin args <&3; do
+  # shellcheck disable=SC2086 # `args` is a word list by design
+  cargo run -q -p bench --release --bin "$bin" -- $args \
     | sha256sum | awk '{print $1}' > "ci/golden/$name.sha256"
   echo "    ci/golden/$name.sha256 = $(cat "ci/golden/$name.sha256")"
-done
+done 3< <(grep -v '^#' ci/stdout_pins.txt)
 
 echo "==> golden run traces (summary granularity)"
 for pair in fig10_comparison:fig10_quick fault_sweep:fault_sweep_quick \
@@ -53,8 +53,9 @@ echo "==> provenance"
   echo "*intentional* behavior change, and commit the diff together with the"
   echo "change that caused it."
   echo
-  echo "- \`<fig>_quick.sha256\` — sha256 of the figure binary's \`--quick\`"
-  echo "  stdout, enforced by the golden figure gate in \`ci.sh\`."
+  echo "- \`<name>.sha256\` — sha256 of a figure or table binary's stdout,"
+  echo "  one per line of \`ci/stdout_pins.txt\`, enforced by the golden"
+  echo "  figure gate in \`ci.sh\`."
   echo "- \`<name>_quick.trace.jsonl\` — \`TRACE/1.0\` run artifact recorded"
   echo "  with \`--record-out\` at summary granularity: run provenance (seed,"
   echo "  config/workload fingerprints, engine, RNG draw counts) plus a"
@@ -64,8 +65,9 @@ echo "==> provenance"
   echo "- \`<name>_quick.trace.sha256\` — sha256 of that artifact, checked by"
   echo "  \`scripts/check_golden_traces.sh\` before any replay uses it."
   echo
-  echo "Pinned stdout digests: \`fig10_quick\`, \`fig13a_quick\`,"
-  echo "\`rack_sweep_quick\`. Pinned run traces: \`fig10_quick\`,"
+  echo "Pinned stdout digests: every figure and table binary, full"
+  echo "configuration, plus the \`--quick\` smokes of \`fig10\`, \`fig13a\`,"
+  echo "\`rack_sweep\` and \`fault_sweep\`. Pinned run traces: \`fig10_quick\`,"
   echo "\`fault_sweep_quick\`, \`rack_sweep_quick\` — the rack trace records"
   echo "one run section per AC server sub-run, each carrying its"
   echo "\`rack:<servers>x<cores>:<system>/fp<fingerprint>/srv<i>\` topology"
