@@ -27,11 +27,6 @@ echo "==> cargo test -q (whole workspace via default-members)"
 # cross-thread noise) and doc tests.
 cargo test -q
 
-echo "==> cargo bench --no-run"
-# Compile (but do not execute) the criterion benches and the hotpath
-# harness so bench-only code can never rot out of sync with the library.
-cargo bench --workspace --no-run
-
 echo "==> altobench build + unit tests (against the workspace crates)"
 # The benchmark is a package of its own that calls the workspace crates'
 # public API by path. Building and unit-testing it here makes a change

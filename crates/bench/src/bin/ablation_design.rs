@@ -9,9 +9,9 @@
 
 use altocumulus::config::PatternPolicy;
 use altocumulus::{AcConfig, Altocumulus};
-use bench::parallel_map;
 use simcore::report::Table;
 use simcore::time::SimDuration;
+use simcore::{default_threads, parallel_map};
 use workload::realworld::clustered_bursty;
 use workload::ServiceDistribution;
 
@@ -54,7 +54,7 @@ fn main() {
         }),
     ];
 
-    let rows = parallel_map(variants, 5, |(name, cfg)| {
+    let rows = parallel_map(variants, default_threads(), |_, (name, cfg)| {
         let r = Altocumulus::new(cfg).run_detailed(&trace);
         (name, r)
     });

@@ -24,25 +24,19 @@
 //! cargo run -p bench --release --bin fault_sweep -- --quick # CI smoke
 //! ```
 
-use altocumulus::config::Resilience;
-use altocumulus::{AcConfig, Altocumulus};
+use altocumulus::Altocumulus;
+use bench::has_flag;
+use bench::record::fault_shape::{CORES, GROUPS, GROUP_SIZE, LOAD};
 use bench::record::{
-    ac_worker_cores, record_artifact, record_granularity_arg, record_out_arg, scenario_runs,
+    ac_worker_cores, fault_shape, fault_sweep_ac, fault_sweep_cell, record_artifact,
+    record_granularity_arg, record_out_arg, scenario_runs,
 };
-use bench::{has_flag, parallel_map, poisson_trace};
 use schedulers::common::RpcSystem;
 use schedulers::dfcfs::{DFcfs, DFcfsConfig};
 use schedulers::jbsq::{Jbsq, JbsqConfig, JbsqVariant};
-use simcore::faults::FaultPlan;
 use simcore::report::Table;
-use simcore::time::{SimDuration, SimTime};
-use workload::ServiceDistribution;
-
-const CORES: usize = 64;
-const GROUPS: usize = 4;
-const GROUP_SIZE: usize = 16;
-const LOAD: f64 = 0.7;
-const PLAN_SEED: u64 = 0xFA_07;
+use simcore::time::SimDuration;
+use simcore::{default_threads, parallel_map};
 
 struct Cell {
     system: &'static str,
@@ -71,19 +65,11 @@ fn worker_cores(system: &str) -> Vec<usize> {
 }
 
 fn run_cell(system: &'static str, intensity: f64, quick: bool, slo: SimDuration) -> Cell {
-    let dist = ServiceDistribution::Fixed(SimDuration::from_ns(850));
-    let requests = if quick { 8_000 } else { 40_000 };
-    let trace = poisson_trace(dist, LOAD, CORES, requests, 128, 10);
-    let horizon = trace.requests().last().map_or(SimTime::ZERO, |r| r.arrival);
-    let plan = FaultPlan::stress(PLAN_SEED, &worker_cores(system), intensity, horizon);
+    let requests = fault_shape::requests(quick);
+    let (plan, trace) = fault_sweep_cell(&worker_cores(system), intensity, requests);
     let (r, note) = match system {
         "AC_int" => {
-            // The paper's 64-core deployment: 4 groups of 16 (one manager +
-            // 15 workers each), hardened degradation policy.
-            let mut cfg = AcConfig::ac_int(GROUPS, GROUP_SIZE, dist.mean());
-            cfg.resilience = Resilience::hardened();
-            cfg.faults = plan;
-            let res = Altocumulus::new(cfg).run_detailed(&trace);
+            let res = Altocumulus::new(fault_sweep_ac(plan)).run_detailed(&trace);
             let f = res.faults;
             let note = if intensity == 0.0 {
                 String::new()
@@ -129,11 +115,7 @@ fn main() {
     let quick = has_flag("--quick");
     let slo = SimDuration::from_us(10);
     let systems = ["AC_int", "d-FCFS", "Nebula"];
-    let intensities: &[f64] = if quick {
-        &[0.0, 0.5]
-    } else {
-        &[0.0, 0.1, 0.25, 0.5, 1.0]
-    };
+    let intensities = fault_shape::intensities(quick);
 
     println!(
         "Fault sweep: {CORES} cores, Fixed(850ns), load {LOAD:.1}, SLO p99 <= {}us{}",
@@ -146,7 +128,7 @@ fn main() {
         .iter()
         .flat_map(|&s| intensities.iter().map(move |&i| (s, i)))
         .collect();
-    let cells = parallel_map(jobs, bench::sweep_threads(), |(s, i)| {
+    let cells = parallel_map(jobs, default_threads(), |_, (s, i)| {
         run_cell(s, i, quick, slo)
     });
 

@@ -8,12 +8,13 @@
 //! cargo run -p bench --release --bin fig03_sched_overhead
 //! ```
 
-use bench::{parallel_map, poisson_trace};
+use bench::poisson_trace;
 use schedulers::common::RpcSystem;
 use schedulers::ideal::{CentralQueue, CentralQueueConfig};
 use schedulers::sweep::throughput_at_slo;
 use simcore::report::Table;
 use simcore::time::SimDuration;
+use simcore::{default_threads, parallel_map};
 use workload::ServiceDistribution;
 
 fn main() {
@@ -35,7 +36,7 @@ fn main() {
         .iter()
         .flat_map(|&oh| loads.iter().map(move |&load| (oh, load)))
         .collect();
-    let cells = parallel_map(jobs, bench::sweep_threads(), |(oh, load)| {
+    let cells = parallel_map(jobs, default_threads(), |_, (oh, load)| {
         let trace = poisson_trace(dist, load, cores, requests, 256, 90);
         let mut sys = CentralQueue::new(CentralQueueConfig {
             cores,
@@ -61,7 +62,7 @@ fn main() {
     // Throughput@SLO per overhead (the ~3x headline). Each bisection is
     // serial in itself, so fan the independent searches out instead.
     println!("\nmax load with p99 <= 5us:");
-    let bests = parallel_map(overheads_ns.to_vec(), bench::sweep_threads(), |oh| {
+    let bests = parallel_map(overheads_ns.to_vec(), default_threads(), |_, oh| {
         throughput_at_slo(
             |load| {
                 let trace = poisson_trace(dist, load, cores, requests, 256, 90);

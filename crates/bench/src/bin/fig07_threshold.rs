@@ -10,12 +10,13 @@
 //! cargo run -p bench --release --bin fig07_threshold
 //! ```
 
-use bench::{parallel_map, poisson_trace};
+use bench::poisson_trace;
 use queueing::erlang::expected_queue_len;
 use queueing::threshold::{r_squared, ThresholdModel};
 use schedulers::ideal::{CentralQueue, CentralQueueConfig};
 use simcore::report::Table;
 use simcore::time::SimDuration;
+use simcore::{default_threads, parallel_map};
 use workload::ServiceDistribution;
 
 fn main() {
@@ -39,7 +40,7 @@ fn main() {
     let requests = 2_000_000;
 
     println!("Fig. 7(a-c): violation ratio vs arrival queue length (load ~0.998, L=10)\n");
-    let results = parallel_map(dists.to_vec(), 3, |dist| {
+    let results = parallel_map(dists.to_vec(), default_threads(), |_, dist| {
         let slo = SimDuration::from_ns_f64(dist.mean().as_ns_f64() * 10.0);
         // Near-critical load: at 64 cores the pooled queue only reaches
         // SLO-relevant depths when the realized load flirts with 1.0.
@@ -73,7 +74,7 @@ fn main() {
     let loads = [0.985, 0.99, 0.9925, 0.995, 0.9975];
     let dist = dists[2];
     let slo = SimDuration::from_ns_f64(dist.mean().as_ns_f64() * 10.0);
-    let pts = parallel_map(loads.to_vec(), loads.len(), |load| {
+    let pts = parallel_map(loads.to_vec(), default_threads(), |_, load| {
         let trace = poisson_trace(dist, load, cores, requests, 256, 5);
         let offered = trace.offered_load(cores) * cores as f64;
         let r = CentralQueue::new(CentralQueueConfig::ideal(cores)).run_instrumented(&trace);

@@ -12,18 +12,16 @@
 //! ```
 
 use altocumulus::telemetry::phase_table;
-use altocumulus::{AcConfig, Altocumulus};
+use altocumulus::Altocumulus;
 use bench::record::{record_artifact, record_granularity_arg, record_out_arg, scenario_runs};
 use bench::{
-    capture_telemetry, export_trace, fig10_system, has_flag, parallel_map, point_from,
-    poisson_trace, trace_out_arg, FIG10_CORES as CORES, FIG10_SYSTEMS,
+    capture_telemetry, export_trace, fig10_ac_rss, fig10_loads, fig10_requests, fig10_system,
+    fig10_trace, has_flag, point_from, trace_out_arg, FIG10_CORES as CORES, FIG10_SYSTEMS,
 };
-use rpcstack::stack::StackModel;
 use simcore::report::Table;
 use simcore::time::SimDuration;
+use simcore::{default_threads, parallel_map};
 use workload::ServiceDistribution;
-
-const REQUESTS: usize = 250_000;
 
 fn main() {
     let dist = ServiceDistribution::bimodal_paper();
@@ -33,14 +31,8 @@ fn main() {
     // pinned by a golden sha256 fixture (see ci.sh); keep its output
     // deterministic and in sync with ci/golden/.
     let quick = has_flag("--quick");
-    let requests = if quick { 20_000 } else { REQUESTS };
-    let loads: &[f64] = if quick {
-        &[0.05, 0.2, 0.5, 0.8]
-    } else {
-        &[
-            0.02, 0.05, 0.08, 0.1, 0.13, 0.16, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9,
-        ]
-    };
+    let requests = fig10_requests(quick);
+    let loads = fig10_loads(quick);
 
     println!(
         "Fig. 10: p99 vs throughput, {CORES} cores, {dist}, SLO p99 <= 300us{}\n",
@@ -55,8 +47,8 @@ fn main() {
         .iter()
         .flat_map(|&name| loads.iter().map(move |&load| (name, load)))
         .collect();
-    let cells = parallel_map(jobs, bench::sweep_threads(), move |(name, load)| {
-        let trace = poisson_trace(dist, load, CORES, requests, 128, 10);
+    let cells = parallel_map(jobs, default_threads(), move |_, (name, load)| {
+        let trace = fig10_trace(load, requests);
         let mut sys = fig10_system(name);
         let r = sys.run(&trace);
         point_from(&r, load, slo)
@@ -121,10 +113,6 @@ fn main() {
         );
     }
 
-    // Optional telemetry export: one traced AC_rss run on a shortened trace
-    // (the figure itself is already printed; this is a debugging artifact).
-    // Files + stderr only, so stdout stays byte-identical with or without
-    // the flag.
     // Optional run recording: re-executes the AC_rss cells with a
     // `TRACE/1.0` recorder attached and writes the artifact (replayable
     // with the `replay` binary; Summary granularity is the golden-trace
@@ -143,12 +131,14 @@ fn main() {
         );
     }
 
+    // Optional telemetry export: one traced AC_rss run on a shortened trace
+    // (the figure itself is already printed; this is a debugging artifact).
+    // Files + stderr only, so stdout stays byte-identical with or without
+    // the flag.
     if let Some(path) = trace_out_arg() {
-        let trace = poisson_trace(dist, 0.3, CORES, requests / 10, 128, 10);
+        let trace = fig10_trace(0.3, requests / 10);
         let mut tel = capture_telemetry(trace.len());
-        let mut cfg = AcConfig::ac_rss(1, 16, dist.mean());
-        cfg.stack = StackModel::nano_rpc();
-        Altocumulus::new(cfg).run_traced(&trace, &mut tel);
+        Altocumulus::new(fig10_ac_rss()).run_traced(&trace, &mut tel);
         let probes = export_trace(&tel, &path);
         eprintln!(
             "trace (AC_rss, load 0.30, {} reqs): {} span points -> {} | {} probe samples -> {}",

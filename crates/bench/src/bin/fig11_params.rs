@@ -11,9 +11,9 @@
 //! ```
 
 use altocumulus::{AcConfig, Altocumulus};
-use bench::parallel_map;
 use simcore::report::Table;
 use simcore::time::SimDuration;
+use simcore::{default_threads, parallel_map};
 use workload::realworld::clustered_bursty;
 use workload::ServiceDistribution;
 
@@ -42,7 +42,7 @@ fn main() {
 
     // (a) Bulk sweep at period 200ns.
     let bulks = [8usize, 16, 24, 32, 40];
-    let bulk_rows = parallel_map(bulks.to_vec(), bench::sweep_threads(), |bulk| {
+    let bulk_rows = parallel_map(bulks.to_vec(), default_threads(), |_, bulk| {
         let mut cfg = AcConfig::ac_int(GROUPS, GROUP_SIZE, dist.mean());
         cfg.bulk = bulk;
         cfg.concurrency = cfg.concurrency.min(bulk);
@@ -69,7 +69,7 @@ fn main() {
     let periods = [10u64, 40, 100, 200, 400, 1000];
     let mut period_jobs: Vec<Option<u64>> = vec![None];
     period_jobs.extend(periods.iter().map(|&p| Some(p)));
-    let mut all_rows = parallel_map(period_jobs, bench::sweep_threads(), |job| {
+    let mut all_rows = parallel_map(period_jobs, default_threads(), |_, job| {
         let mut cfg = AcConfig::ac_int(GROUPS, GROUP_SIZE, dist.mean());
         match job {
             Some(p) => cfg.period = SimDuration::from_ns(p),

@@ -12,9 +12,9 @@
 
 use altocumulus::accounting::classify_effectiveness;
 use altocumulus::{AcConfig, Altocumulus, Attachment};
-use bench::parallel_map;
 use simcore::report::Table;
 use simcore::time::SimDuration;
+use simcore::{default_threads, parallel_map};
 use workload::realworld::clustered_bursty;
 use workload::ServiceDistribution;
 
@@ -40,7 +40,7 @@ fn main() {
         "p99 there (us)",
     ]);
     for attach in [Attachment::Integrated, Attachment::RssPcie] {
-        let rows = parallel_map(shapes.clone(), shapes.len(), |(g, s)| {
+        let rows = parallel_map(shapes.clone(), default_threads(), |_, (g, s)| {
             let mk = |g: usize, s: usize| {
                 let mut cfg = match attach {
                     Attachment::Integrated => AcConfig::ac_int(g, s, dist.mean()),
@@ -86,7 +86,7 @@ fn main() {
         Altocumulus::new(cfg).run_detailed(&trace)
     };
     let periods = [40u64, 200, 400, 1000];
-    let runs = parallel_map(periods.to_vec(), periods.len(), |p| {
+    let runs = parallel_map(periods.to_vec(), default_threads(), |_, p| {
         let mut cfg = AcConfig::ac_int(16, 16, dist.mean());
         cfg.period = SimDuration::from_ns(p);
         let r = Altocumulus::new(cfg).run_detailed(&trace);

@@ -15,15 +15,14 @@
 use altocumulus::accounting::prediction_accuracy;
 use altocumulus::telemetry::phase_table;
 use altocumulus::{AcConfig, Altocumulus};
-use bench::{
-    capture_telemetry, export_trace, has_flag, parallel_map, poisson_trace, trace_out_arg,
-};
+use bench::{capture_telemetry, export_trace, has_flag, poisson_trace, trace_out_arg};
 use queueing::ThresholdModel;
 use schedulers::common::RpcSystem;
 use schedulers::dfcfs::{DFcfs, DFcfsConfig};
 use schedulers::jbsq::{Jbsq, JbsqVariant};
 use simcore::report::Table;
 use simcore::time::SimDuration;
+use simcore::{default_threads, parallel_map};
 use workload::arrival::PoissonProcess;
 use workload::realworld::clustered_bursty;
 use workload::trace::{Trace, TraceBuilder};
@@ -103,7 +102,7 @@ fn main() {
             .iter()
             .flat_map(|&cores| (0..SYSTEMS).map(move |s| (cores, s)))
             .collect();
-        let cells = parallel_map(jobs, bench::sweep_threads(), |(cores, s)| {
+        let cells = parallel_map(jobs, default_threads(), |_, (cores, s)| {
             let mut sys: Box<dyn RpcSystem> = match s {
                 0 => Box::new(DFcfs::new(DFcfsConfig::rss(cores))),
                 1 => Box::new(Jbsq::new(JbsqVariant::Nebula, cores)),
@@ -128,7 +127,7 @@ fn main() {
             .enumerate()
             .map(|(i, &cores)| (cores, cells[i * SYSTEMS + 3].1))
             .collect();
-        let accs = parallel_map(acc_jobs, bench::sweep_threads(), |(cores, opt_load)| {
+        let accs = parallel_map(acc_jobs, default_threads(), |_, (cores, opt_load)| {
             if opt_load > 0.0 {
                 let t = trace_for(cores, opt_load, real_world, 51, requests);
                 let mut po = opt(cores);

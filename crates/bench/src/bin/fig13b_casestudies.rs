@@ -12,12 +12,12 @@
 //! ```
 
 use altocumulus::{AcConfig, Altocumulus, Interface};
-use bench::parallel_map;
 use queueing::ThresholdModel;
 use schedulers::common::RpcSystem;
 use schedulers::dfcfs::{DFcfs, DFcfsConfig};
 use simcore::report::Table;
 use simcore::time::SimDuration;
+use simcore::{default_threads, parallel_map};
 use workload::arrival::PoissonProcess;
 use workload::realworld::clustered_bursty;
 use workload::ServiceDistribution;
@@ -77,7 +77,7 @@ fn main() {
         ),
     ];
 
-    let rows = parallel_map(mk, 5, |(name, factory)| {
+    let rows = parallel_map(mk, default_threads(), |_, (name, factory)| {
         let mut best = (0.0f64, SimDuration::ZERO);
         for load in [0.1, 0.2, 0.3, 0.5, 0.65, 0.8, 0.9, 0.95] {
             let t = real_trace(load, 61);

@@ -16,6 +16,7 @@ use bench::poisson_trace;
 use queueing::ThresholdModel;
 use simcore::report::Table;
 use simcore::time::SimDuration;
+use simcore::{default_threads, parallel_map};
 use workload::realworld::clustered_bursty;
 use workload::ServiceDistribution;
 
@@ -98,7 +99,7 @@ fn main() {
         predict_config(Attachment::RssPcie, mean),
         predict_config(Attachment::Integrated, mean),
     ];
-    let runs = bench::parallel_map(configs, bench::sweep_threads(), |cfg| {
+    let runs = parallel_map(configs, default_threads(), |_, cfg| {
         Altocumulus::new(cfg).run_detailed(&trace)
     });
     let (base, rebal, rss_po, int_po) = (&runs[0], &runs[1], &runs[2], &runs[3]);

@@ -12,12 +12,12 @@
 //! ```
 
 use altocumulus::{AcConfig, Altocumulus, Interface};
-use bench::parallel_map;
 use mica::workload::KvsWorkload;
 use schedulers::common::RpcSystem;
 use schedulers::jbsq::{Jbsq, JbsqVariant};
 use simcore::report::Table;
 use simcore::time::SimDuration;
+use simcore::{default_threads, parallel_map};
 
 const CORES: usize = 64;
 const REQUESTS: usize = 300_000;
@@ -79,7 +79,7 @@ fn main() {
         .iter()
         .flat_map(|&name| loads.iter().map(move |&load| (name, load)))
         .collect();
-    let cells = parallel_map(jobs, bench::sweep_threads(), |(name, load)| {
+    let cells = parallel_map(jobs, default_threads(), |_, (name, load)| {
         let kvs = KvsWorkload::fig14();
         let mean = kvs.mean_service();
         let rate = load * CORES as f64 / mean.as_secs_f64();

@@ -30,16 +30,17 @@
 
 use altocumulus::rack::ServerSpec;
 use altocumulus::{RackConfig, RackResult};
+use bench::has_flag;
 use bench::record::{
     rack_shape, rack_sweep_cell, record_artifact, record_granularity_arg, record_out_arg,
     scenario_runs,
 };
-use bench::{has_flag, parallel_map};
 use schedulers::dfcfs::DFcfsConfig;
 use schedulers::jbsq::{JbsqConfig, JbsqVariant};
 use simcore::faults::FaultPlan;
 use simcore::report::Table;
 use simcore::time::{SimDuration, SimTime};
+use simcore::{default_threads, parallel_map};
 use workload::trace::Trace;
 
 struct Cell {
@@ -179,7 +180,7 @@ fn main() {
             })
         })
         .collect();
-    let cells = parallel_map(jobs, bench::sweep_threads(), |(sys, shape, l, n, d)| {
+    let cells = parallel_map(jobs, default_threads(), |_, (sys, shape, l, n, d)| {
         run_cell(sys, shape, l, n, d, slo)
     });
 

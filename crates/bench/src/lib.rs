@@ -22,27 +22,6 @@ use simcore::time::SimDuration;
 use std::path::{Path, PathBuf};
 use workload::ServiceDistribution;
 
-/// Runs `f` over `items` on up to `threads` OS threads, preserving order.
-///
-/// The sweeps are embarrassingly parallel (one simulation per load point).
-/// Delegates to [`simcore::parallel_map`], whose shared job list balances
-/// uneven load points across workers while keeping results in input order —
-/// identical output for any thread count.
-pub fn parallel_map<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    simcore::parallel_map(items, threads, |_, item| f(item))
-}
-
-/// Worker-thread count for sweeps: the `SWEEP_THREADS` environment variable
-/// if set, otherwise the machine's available parallelism.
-pub fn sweep_threads() -> usize {
-    simcore::default_threads()
-}
-
 /// Builds a Poisson trace for `dist` at `load` on `cores` cores:
 /// [`workload::poisson_trace`], compiled in this crate. A re-export would
 /// compile the trace loop inside `workload`, where it measured about 1.65×
@@ -66,6 +45,45 @@ pub const FIG10_CORES: usize = 16;
 pub const FIG10_SYSTEMS: [&str; 7] = [
     "IX", "ZygOS", "Shinjuku", "RPCValet", "Nebula", "nanoPU", "AC_rss",
 ];
+
+/// Requests offered to each Fig. 10 cell.
+pub fn fig10_requests(quick: bool) -> usize {
+    if quick {
+        20_000
+    } else {
+        250_000
+    }
+}
+
+/// Offered loads of the Fig. 10 sweep.
+pub fn fig10_loads(quick: bool) -> &'static [f64] {
+    if quick {
+        &[0.05, 0.2, 0.5, 0.8]
+    } else {
+        &[
+            0.02, 0.05, 0.08, 0.1, 0.13, 0.16, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9,
+        ]
+    }
+}
+
+/// The Fig. 10 workload at `load`: `requests` Bimodal requests over 128
+/// connections on [`FIG10_CORES`] cores, trace seed 10.
+pub fn fig10_trace(load: f64, requests: usize) -> workload::Trace {
+    let dist = ServiceDistribution::bimodal_paper();
+    poisson_trace(dist, load, FIG10_CORES, requests, 128, 10)
+}
+
+/// The Fig. 10 AC_rss configuration. One 16-core group: the paper's
+/// group-size exploration (§VIII-B) picks 16; on a 16-core machine
+/// inter-group migration is moot and AC degenerates to its local c-FCFS
+/// tier.
+pub fn fig10_ac_rss() -> AcConfig {
+    let mut cfg = AcConfig::ac_rss(1, FIG10_CORES, ServiceDistribution::bimodal_paper().mean());
+    // Paired with a hardware-terminated (nanoRPC-class) stack as in the
+    // paper's end-to-end configuration (§IX-A).
+    cfg.stack = StackModel::nano_rpc();
+    cfg
+}
 
 /// Builds the Fig. 10 system `name` (one of [`FIG10_SYSTEMS`]) on
 /// [`FIG10_CORES`] cores, configured for the Bimodal workload.
@@ -94,17 +112,7 @@ pub fn fig10_system(name: &str) -> Box<dyn RpcSystem> {
         "RPCValet" => Box::new(Jbsq::new(JbsqVariant::RpcValet, FIG10_CORES)),
         "Nebula" => Box::new(Jbsq::new(JbsqVariant::Nebula, FIG10_CORES)),
         "nanoPU" => Box::new(Jbsq::new(JbsqVariant::NanoPu, FIG10_CORES)),
-        // One 16-core group: the paper's group-size exploration (§VIII-B)
-        // picks 16; on a 16-core machine inter-group migration is moot and
-        // AC degenerates to its local c-FCFS tier with an eRPC-class stack.
-        "AC_rss" => {
-            let mut cfg =
-                AcConfig::ac_rss(1, FIG10_CORES, ServiceDistribution::bimodal_paper().mean());
-            // Paired with a hardware-terminated (nanoRPC-class) stack as in
-            // the paper's end-to-end configuration (§IX-A).
-            cfg.stack = StackModel::nano_rpc();
-            Box::new(Altocumulus::new(cfg))
-        }
+        "AC_rss" => Box::new(Altocumulus::new(fig10_ac_rss())),
         other => panic!("unknown system {other}"),
     }
 }
@@ -188,18 +196,5 @@ mod tests {
         let d = ServiceDistribution::Fixed(SimDuration::from_us(1));
         let t = poisson_trace(d, 0.7, 16, 50_000, 64, 1);
         assert!((t.offered_load(16) - 0.7).abs() < 0.05);
-    }
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let out = parallel_map((0..100).collect(), 7, |x: i32| x * 2);
-        assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn parallel_map_empty_and_single() {
-        let out: Vec<i32> = parallel_map(Vec::<i32>::new(), 4, |x| x);
-        assert!(out.is_empty());
-        assert_eq!(parallel_map(vec![9], 4, |x: i32| x + 1), vec![10]);
     }
 }

@@ -15,15 +15,14 @@
 //! in each run header are re-derived at replay, and a mismatch reports as a
 //! provenance divergence before any event comparison.
 
-use crate::poisson_trace;
+use crate::{fig10_ac_rss, fig10_loads, fig10_requests, fig10_trace, poisson_trace};
 use altocumulus::config::Resilience;
 use altocumulus::rack::ServerSpec;
 use altocumulus::{
     event_kind_names, AcConfig, AcResult, Altocumulus, RackConfig, RackWorld, ServerDeath,
 };
-use rpcstack::stack::StackModel;
 use simcore::faults::FaultPlan;
-use simcore::time::{SimDuration, SimTime};
+use simcore::time::SimTime;
 use simcore::trace::{
     first_divergence, fnv1a64_fold, parse_artifact, render_divergence, write_artifact_meta,
     write_run_section, Granularity, ParsedRun, Recorder, RunMeta, RunTotals,
@@ -116,11 +115,75 @@ pub mod rack_shape {
 
 /// Cores a stress plan may fail on an ALTOCUMULUS mesh of `groups` groups
 /// of `group_size` tiles: every tile but the group managers' (tile 0 of
-/// each group). Shared by `fault_sweep` and its recorded runs.
+/// each group). Shared by `fault_sweep`, `rack_sweep` and their recorded
+/// runs.
 pub fn ac_worker_cores(groups: usize, group_size: usize) -> Vec<usize> {
     (0..groups * group_size)
         .filter(|c| c % group_size != 0)
         .collect()
+}
+
+/// Sweep shape of the `fault_sweep` scenario, shared by the bin and this
+/// registry like [`rack_shape`].
+pub mod fault_shape {
+    use simcore::time::SimDuration;
+    use workload::ServiceDistribution;
+
+    /// Groups of the ALTOCUMULUS mesh (the paper's 64-core deployment).
+    pub const GROUPS: usize = 4;
+    /// Tiles per group: one manager and 15 workers.
+    pub const GROUP_SIZE: usize = 16;
+    /// Cores of every system in the sweep.
+    pub const CORES: usize = GROUPS * GROUP_SIZE;
+    /// Offered load of every cell.
+    pub const LOAD: f64 = 0.7;
+    /// Service-time distribution: fixed 850 ns.
+    pub fn dist() -> ServiceDistribution {
+        ServiceDistribution::Fixed(SimDuration::from_ns(850))
+    }
+    /// Requests offered per cell.
+    pub fn requests(quick: bool) -> usize {
+        if quick {
+            8_000
+        } else {
+            40_000
+        }
+    }
+    /// Stress intensities swept.
+    pub fn intensities(quick: bool) -> &'static [f64] {
+        if quick {
+            &[0.0, 0.5]
+        } else {
+            &[0.0, 0.1, 0.25, 0.5, 1.0]
+        }
+    }
+}
+
+/// Builds one `fault_sweep` cell: its healthy workload (128 connections,
+/// trace seed 10) and a [`FaultPlan::stress`] plan (seed `0xFA_07`) of
+/// `intensity` that may fail any core in `workers` until the last arrival.
+pub fn fault_sweep_cell(workers: &[usize], intensity: f64, requests: usize) -> (FaultPlan, Trace) {
+    let trace = poisson_trace(
+        fault_shape::dist(),
+        fault_shape::LOAD,
+        fault_shape::CORES,
+        requests,
+        128,
+        10,
+    );
+    let horizon = trace.requests().last().map_or(SimTime::ZERO, |r| r.arrival);
+    let plan = FaultPlan::stress(0xFA_07, workers, intensity, horizon);
+    (plan, trace)
+}
+
+/// The `fault_sweep` AC_int configuration running `plan`: the
+/// [`fault_shape`] mesh under the hardened resilience policy.
+pub fn fault_sweep_ac(plan: FaultPlan) -> AcConfig {
+    let (groups, group_size) = (fault_shape::GROUPS, fault_shape::GROUP_SIZE);
+    let mut cfg = AcConfig::ac_int(groups, group_size, fault_shape::dist().mean());
+    cfg.resilience = Resilience::hardened();
+    cfg.faults = plan;
+    cfg
 }
 
 /// Builds the `rack_sweep` AC rack and its workload for one cell. `shape`
@@ -155,7 +218,7 @@ pub fn rack_sweep_cell(
         };
         cfg.resilience = Resilience::hardened();
         let horizon = trace.requests().last().map_or(SimTime::ZERO, |r| r.arrival);
-        let workers: Vec<usize> = (0..cores).filter(|c| c % group_size != 0).collect();
+        let workers = ac_worker_cores(groups, group_size);
         rack.server_faults = (0..servers)
             .map(|s| FaultPlan::stress(0xAC50 + s as u64, &workers, 0.25, horizon))
             .collect();
@@ -200,25 +263,14 @@ impl RunSpec {
     /// construction the figure binary uses for this cell.
     pub fn build(&self) -> (AcConfig, Trace) {
         match self.kind {
-            SpecKind::Fig10 { load, requests } => {
-                let dist = ServiceDistribution::bimodal_paper();
-                let trace = poisson_trace(dist, load, 16, requests, 128, 10);
-                let mut cfg = AcConfig::ac_rss(1, 16, dist.mean());
-                cfg.stack = StackModel::nano_rpc();
-                (cfg, trace)
-            }
+            SpecKind::Fig10 { load, requests } => (fig10_ac_rss(), fig10_trace(load, requests)),
             SpecKind::FaultSweep {
                 intensity,
                 requests,
             } => {
-                let dist = ServiceDistribution::Fixed(SimDuration::from_ns(850));
-                let trace = poisson_trace(dist, 0.7, 64, requests, 128, 10);
-                let horizon = trace.requests().last().map_or(SimTime::ZERO, |r| r.arrival);
-                let plan = FaultPlan::stress(0xFA_07, &ac_worker_cores(4, 16), intensity, horizon);
-                let mut cfg = AcConfig::ac_int(4, 16, dist.mean());
-                cfg.resilience = Resilience::hardened();
-                cfg.faults = plan;
-                (cfg, trace)
+                let workers = ac_worker_cores(fault_shape::GROUPS, fault_shape::GROUP_SIZE);
+                let (plan, trace) = fault_sweep_cell(&workers, intensity, requests);
+                (fault_sweep_ac(plan), trace)
             }
             SpecKind::Rack {
                 load,
@@ -248,16 +300,9 @@ impl RunSpec {
 pub fn scenario_runs(bin: &str, quick: bool) -> Option<Vec<RunSpec>> {
     match bin {
         "fig10_comparison" => {
-            let requests = if quick { 20_000 } else { 250_000 };
-            let loads: &[f64] = if quick {
-                &[0.05, 0.2, 0.5, 0.8]
-            } else {
-                &[
-                    0.02, 0.05, 0.08, 0.1, 0.13, 0.16, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9,
-                ]
-            };
+            let requests = fig10_requests(quick);
             Some(
-                loads
+                fig10_loads(quick)
                     .iter()
                     .map(|&load| RunSpec {
                         label: format!("AC_rss@{load:.2}"),
@@ -272,14 +317,9 @@ pub fn scenario_runs(bin: &str, quick: bool) -> Option<Vec<RunSpec>> {
             )
         }
         "fault_sweep" => {
-            let requests = if quick { 8_000 } else { 40_000 };
-            let intensities: &[f64] = if quick {
-                &[0.0, 0.5]
-            } else {
-                &[0.0, 0.1, 0.25, 0.5, 1.0]
-            };
+            let requests = fault_shape::requests(quick);
             Some(
-                intensities
+                fault_shape::intensities(quick)
                     .iter()
                     .map(|&intensity| RunSpec {
                         label: format!("AC_int@{intensity:.2}"),

@@ -3,7 +3,7 @@
 //! event queue must not perturb any simulated numbers.
 
 use altocumulus::{AcConfig, AcResult, Altocumulus, Telemetry};
-use bench::{capture_telemetry, parallel_map, poisson_trace};
+use bench::{capture_telemetry, poisson_trace};
 use rpcstack::stack::StackModel;
 use schedulers::common::RpcSystem;
 use schedulers::jbsq::{Jbsq, JbsqVariant};
@@ -26,7 +26,7 @@ fn sweep(threads: usize) -> Vec<(u64, usize)> {
     let jobs: Vec<(usize, f64)> = (0..3)
         .flat_map(|s| loads.iter().map(move |&l| (s, l)))
         .collect();
-    parallel_map(jobs, threads, |(s, load)| {
+    simcore::parallel_map(jobs, threads, |_, (s, load)| {
         let trace = poisson_trace(dist, load, CORES, REQUESTS, 64, 33);
         let mut sys: Box<dyn RpcSystem> = match s {
             0 => Box::new(Jbsq::new(JbsqVariant::Nebula, CORES)),
@@ -117,19 +117,4 @@ fn fig13a_config_identical_with_telemetry_on() {
         on.stats.migrated_per_group.iter().sum::<u64>(),
         on.stats.migrated_requests
     );
-}
-
-#[test]
-fn seeded_map_thread_invariant_over_simulations() {
-    let run = |threads| {
-        simcore::seeded_map(7, vec![0.6f64, 0.8, 0.9], threads, |_, load, _rng| {
-            let dist = ServiceDistribution::Fixed(SimDuration::from_us(1));
-            let trace = poisson_trace(dist, load, CORES, REQUESTS, 64, 12);
-            let mut sys = Jbsq::new(JbsqVariant::Nebula, CORES);
-            sys.run(&trace).p99().as_ps()
-        })
-    };
-    let one = run(1);
-    assert_eq!(one, run(3));
-    assert_eq!(one, run(16));
 }

@@ -132,28 +132,6 @@ pub fn plan_migrations(
     orders
 }
 
-/// Ablation variant of [`plan_migrations`]: only the threshold trigger, no
-/// Hill/Valley/Pairing roles.
-pub fn plan_threshold_only(
-    me: usize,
-    q: &[u32],
-    threshold: usize,
-    bulk: usize,
-    concurrency: usize,
-) -> Vec<MigrationOrder> {
-    let mut orders = Vec::new();
-    plan_threshold_only_into(
-        me,
-        q,
-        threshold,
-        bulk,
-        concurrency,
-        &mut PlanScratch::default(),
-        &mut orders,
-    );
-    orders
-}
-
 /// Allocation-free form of [`plan_migrations`]: clears `orders` and fills it
 /// with this period's plan, reusing `scratch` across calls.
 #[allow(clippy::too_many_arguments)]
@@ -169,7 +147,8 @@ pub fn plan_migrations_into(
     plan_with_patterns(me, q, threshold, bulk, concurrency, true, scratch, orders)
 }
 
-/// Allocation-free form of [`plan_threshold_only`].
+/// Ablation variant of [`plan_migrations_into`]: only the threshold
+/// trigger, no Hill/Valley/Pairing roles.
 #[allow(clippy::too_many_arguments)]
 pub fn plan_threshold_only_into(
     me: usize,

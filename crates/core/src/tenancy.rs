@@ -81,12 +81,6 @@ impl Tenancy {
             .map(|(g, _)| g)
             .collect()
     }
-
-    /// True iff groups `a` and `b` belong to the same tenant (migration is
-    /// only permitted inside one tenant's partition).
-    pub fn same_tenant(&self, a: usize, b: usize) -> bool {
-        self.tenant_of_group[a] == self.tenant_of_group[b]
-    }
 }
 
 #[cfg(test)]
@@ -99,8 +93,6 @@ mod tests {
         assert_eq!(t.tenants(), 2);
         assert_eq!(t.groups_of(0), vec![0, 2, 4, 6]);
         assert_eq!(t.groups_of(1), vec![1, 3, 5, 7]);
-        assert!(t.same_tenant(0, 2));
-        assert!(!t.same_tenant(0, 1));
     }
 
     #[test]

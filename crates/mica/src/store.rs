@@ -173,11 +173,6 @@ impl Mica {
         &self.partitions[idx]
     }
 
-    /// Mutable access to a partition.
-    pub fn partition_mut(&mut self, idx: usize) -> &mut Partition {
-        &mut self.partitions[idx]
-    }
-
     /// Total live index entries across partitions.
     pub fn len(&self) -> u64 {
         self.partitions.iter().map(Partition::len).sum()

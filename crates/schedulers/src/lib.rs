@@ -10,7 +10,7 @@
 //! - [`jbsq`]: hardware JBSQ(n) NIC schedulers — RPCValet, Nebula, nanoPU.
 //! - [`ideal`]: idealized c-FCFS with parametric scheduling overhead and
 //!   queue-length instrumentation (drives Figs. 3 and 7).
-//! - [`sweep`]: throughput@SLO bisection and load sweeps.
+//! - [`sweep`]: throughput@SLO bisection.
 //! - [`catalog`]: Table I as data.
 //!
 //! All systems implement [`common::RpcSystem`]: feed a `workload::Trace`, get
@@ -57,7 +57,4 @@ pub use dfcfs::{DFcfs, DFcfsConfig};
 pub use ideal::{CentralQueue, CentralQueueConfig, InstrumentedResult};
 pub use jbsq::{Jbsq, JbsqConfig, JbsqVariant};
 pub use stealing::{StealingConfig, WorkStealing};
-pub use sweep::{
-    sweep_loads, sweep_loads_parallel, throughput_at_slo, throughput_at_slo_search, SloSearch,
-    SweepPoint,
-};
+pub use sweep::throughput_at_slo;

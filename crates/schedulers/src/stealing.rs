@@ -82,15 +82,6 @@ impl WorkStealing {
         WorkStealing { cfg, stolen: 0 }
     }
 
-    /// Fraction of requests stolen in the most recent run.
-    pub fn stolen_fraction(&self, total: usize) -> f64 {
-        if total == 0 {
-            0.0
-        } else {
-            self.stolen as f64 / total as f64
-        }
-    }
-
     /// Raw count of stolen requests in the most recent run.
     pub fn stolen(&self) -> u64 {
         self.stolen
@@ -307,7 +298,7 @@ mod tests {
         );
         // ZygOS's published number is ~60%; ours should at least be a
         // substantial fraction under this imbalance.
-        assert!(sys.stolen_fraction(20_000) > 0.1);
+        assert!(sys.stolen() as f64 / 20_000.0 > 0.1);
     }
 
     #[test]

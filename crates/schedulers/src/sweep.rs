@@ -1,136 +1,20 @@
-//! Load sweeps and throughput@SLO search.
+//! Throughput@SLO search.
 //!
 //! The paper's primary metric is *throughput@SLO*: the highest offered load
 //! whose measured 99th-percentile latency stays within the SLO (§II-A).
 //! [`throughput_at_slo`] finds it by bisection over a caller-provided
 //! evaluation closure, so it works for every system in this workspace.
-//! [`throughput_at_slo_search`] additionally memoizes every evaluated load
-//! and returns the full series, so figure binaries can plot the sweep the
-//! search already paid for instead of re-simulating it.
 
 use simcore::time::SimDuration;
-
-/// One point of a load sweep.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SweepPoint {
-    /// Offered load (fraction of system capacity).
-    pub load: f64,
-    /// Measured p99 latency at that load.
-    pub p99: SimDuration,
-}
-
-/// Evaluates `eval` at each load in `loads` and returns the series.
-pub fn sweep_loads<F>(loads: &[f64], mut eval: F) -> Vec<SweepPoint>
-where
-    F: FnMut(f64) -> SimDuration,
-{
-    loads
-        .iter()
-        .map(|&load| SweepPoint {
-            load,
-            p99: eval(load),
-        })
-        .collect()
-}
-
-/// Evaluates `eval` at each load on `threads` worker threads and returns the
-/// series in load order.
-///
-/// Each load's evaluation must be self-contained (build its own trace and
-/// system from the load value); under that contract the result is identical
-/// to [`sweep_loads`] for any thread count.
-pub fn sweep_loads_parallel<F>(loads: &[f64], threads: usize, eval: F) -> Vec<SweepPoint>
-where
-    F: Fn(f64) -> SimDuration + Sync,
-{
-    simcore::parallel_map(loads.to_vec(), threads, |_, load| SweepPoint {
-        load,
-        p99: eval(load),
-    })
-}
-
-/// Result of a [`throughput_at_slo_search`]: the best load plus every point
-/// the bisection evaluated along the way.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SloSearch {
-    /// Highest load meeting the SLO, or `None` if even the lower bound
-    /// violates it.
-    pub best: Option<f64>,
-    /// Every `(load, p99)` the search evaluated, sorted by load. Each load
-    /// is evaluated (and appears) at most once.
-    pub evaluated: Vec<SweepPoint>,
-}
-
-/// Finds the highest load in `[lo, hi]` with `eval(load) <= slo`, to within
-/// `tol` of load, by bisection — and returns the full evaluation series.
-///
-/// Evaluated loads are memoized, so a load is never simulated twice even if
-/// the bisection endpoints revisit it.
-///
-/// `eval` must be monotone-ish in load (tail latency grows with load), which
-/// holds for all the queueing systems here.
-///
-/// # Panics
-///
-/// Panics if the interval or tolerance is malformed.
-pub fn throughput_at_slo_search<F>(
-    mut eval: F,
-    slo: SimDuration,
-    lo: f64,
-    hi: f64,
-    tol: f64,
-) -> SloSearch
-where
-    F: FnMut(f64) -> SimDuration,
-{
-    assert!(lo > 0.0 && hi > lo, "need 0 < lo < hi");
-    assert!(tol > 0.0, "tolerance must be positive");
-    // Memo kept sorted by load: a handful of bisection probes makes binary
-    // search cheaper than hashing, and the evaluated series falls out
-    // already sorted and deduplicated.
-    let mut cache: Vec<(f64, SimDuration)> = Vec::new();
-    let mut cached_eval = |load: f64| -> SimDuration {
-        match cache.binary_search_by(|(l, _)| l.partial_cmp(&load).expect("loads are finite")) {
-            Ok(i) => cache[i].1,
-            Err(i) => {
-                let p99 = eval(load);
-                cache.insert(i, (load, p99));
-                p99
-            }
-        }
-    };
-
-    let best = 'search: {
-        if cached_eval(lo) > slo {
-            break 'search None;
-        }
-        if cached_eval(hi) <= slo {
-            break 'search Some(hi);
-        }
-        let (mut good, mut bad) = (lo, hi);
-        while bad - good > tol {
-            let mid = (good + bad) / 2.0;
-            if cached_eval(mid) <= slo {
-                good = mid;
-            } else {
-                bad = mid;
-            }
-        }
-        Some(good)
-    };
-
-    let evaluated: Vec<SweepPoint> = cache
-        .into_iter()
-        .map(|(load, p99)| SweepPoint { load, p99 })
-        .collect();
-    SloSearch { best, evaluated }
-}
 
 /// Finds the highest load in `[lo, hi]` with `eval(load) <= slo`, to within
 /// `tol` of load, by bisection. Returns `None` if even `lo` violates.
 ///
-/// Convenience wrapper over [`throughput_at_slo_search`] for callers that
-/// only want the crossover load.
+/// Each load is evaluated at most once: `lo` and `hi` first, then only
+/// midpoints, which lie strictly inside the shrinking bracket.
+///
+/// `eval` must be monotone-ish in load (tail latency grows with load), which
+/// holds for all the queueing systems here.
 ///
 /// # Panics
 ///
@@ -151,11 +35,34 @@ where
 /// let best = best.unwrap();
 /// assert!((best - 0.5).abs() < 0.02, "best={best}");
 /// ```
-pub fn throughput_at_slo<F>(eval: F, slo: SimDuration, lo: f64, hi: f64, tol: f64) -> Option<f64>
+pub fn throughput_at_slo<F>(
+    mut eval: F,
+    slo: SimDuration,
+    lo: f64,
+    hi: f64,
+    tol: f64,
+) -> Option<f64>
 where
     F: FnMut(f64) -> SimDuration,
 {
-    throughput_at_slo_search(eval, slo, lo, hi, tol).best
+    assert!(lo > 0.0 && hi > lo, "need 0 < lo < hi");
+    assert!(tol > 0.0, "tolerance must be positive");
+    if eval(lo) > slo {
+        return None;
+    }
+    if eval(hi) <= slo {
+        return Some(hi);
+    }
+    let (mut good, mut bad) = (lo, hi);
+    while bad - good > tol {
+        let mid = (good + bad) / 2.0;
+        if eval(mid) <= slo {
+            good = mid;
+        } else {
+            bad = mid;
+        }
+    }
+    Some(good)
 }
 
 #[cfg(test)]
@@ -190,97 +97,43 @@ mod tests {
 
     #[test]
     fn search_never_evaluates_a_load_twice() {
-        let mut evals = Vec::new();
-        let search = throughput_at_slo_search(
-            |load| {
-                evals.push(load);
-                SimDuration::from_ns_f64(load * load * 100_000.0)
-            },
-            SimDuration::from_us(25),
-            0.05,
-            1.0,
-            0.005,
-        );
-        let mut uniq = evals.clone();
-        uniq.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        uniq.dedup();
-        assert_eq!(uniq.len(), evals.len(), "duplicate evaluations: {evals:?}");
-        assert_eq!(search.evaluated.len(), evals.len());
-        assert!((search.best.unwrap() - 0.5).abs() < 0.01);
-    }
-
-    #[test]
-    fn search_reports_sorted_series() {
-        let search = throughput_at_slo_search(
-            |load| SimDuration::from_ns_f64(load * 10_000.0),
-            SimDuration::from_us(5),
-            0.05,
-            1.0,
-            0.01,
-        );
-        assert!(search.evaluated.windows(2).all(|w| w[0].load < w[1].load));
-        // The series includes the bounds and every midpoint probed.
-        assert!(search.evaluated.len() >= 2);
-    }
-
-    #[test]
-    fn evaluated_series_sorted_and_deduplicated() {
-        let mut evals = Vec::new();
-        let search = throughput_at_slo_search(
-            |load| {
-                evals.push(load);
-                SimDuration::from_ns_f64(load * load * 100_000.0)
-            },
-            SimDuration::from_us(25),
-            0.05,
-            1.0,
-            0.001, // deep bisection: many probed loads
-        );
-        // Strictly increasing: sorted with no duplicate loads.
-        assert!(
-            search.evaluated.windows(2).all(|w| w[0].load < w[1].load),
-            "series must be strictly increasing"
-        );
-        // The series is exactly the set of evaluated loads, nothing more.
-        let mut expected = evals.clone();
-        expected.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        expected.dedup();
-        assert_eq!(
-            search.evaluated.iter().map(|p| p.load).collect::<Vec<_>>(),
-            expected
-        );
+        // A deep bisection (tol 0.001) probes many loads; none twice.
+        for tol in [0.005, 0.001] {
+            let mut evals = Vec::new();
+            let best = throughput_at_slo(
+                |load| {
+                    evals.push(load);
+                    SimDuration::from_ns_f64(load * load * 100_000.0)
+                },
+                SimDuration::from_us(25),
+                0.05,
+                1.0,
+                tol,
+            );
+            assert_eq!(&evals[..2], &[0.05, 1.0], "bounds are evaluated first");
+            let mut uniq = evals.clone();
+            uniq.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            uniq.dedup();
+            assert_eq!(uniq.len(), evals.len(), "duplicate evaluations: {evals:?}");
+            assert!((best.unwrap() - 0.5).abs() < 0.01);
+        }
     }
 
     #[test]
     fn search_none_still_reports_lo() {
-        let search = throughput_at_slo_search(
-            |_| SimDuration::from_ms(1),
+        let mut evals = Vec::new();
+        let best = throughput_at_slo(
+            |load| {
+                evals.push(load);
+                SimDuration::from_ms(1)
+            },
             SimDuration::from_us(1),
             0.1,
             0.95,
             0.01,
         );
-        assert_eq!(search.best, None);
-        assert_eq!(search.evaluated.len(), 1);
-        assert_eq!(search.evaluated[0].load, 0.1);
-    }
-
-    #[test]
-    fn sweep_produces_all_points() {
-        let pts = sweep_loads(&[0.1, 0.5, 0.9], |l| SimDuration::from_ns_f64(l * 100.0));
-        assert_eq!(pts.len(), 3);
-        assert_eq!(pts[1].load, 0.5);
-        assert_eq!(pts[2].p99, SimDuration::from_ns(90));
-    }
-
-    #[test]
-    fn parallel_sweep_matches_serial() {
-        let f = |l: f64| SimDuration::from_ns_f64(l * l * 77_000.0);
-        let loads = [0.1, 0.3, 0.5, 0.7, 0.9, 0.99];
-        let serial = sweep_loads(&loads, f);
-        for threads in [1, 2, 4] {
-            assert_eq!(sweep_loads_parallel(&loads, threads, f), serial);
-        }
+        assert_eq!(best, None);
+        assert_eq!(evals, [0.1], "a violating lower bound ends the search");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   pulls arrivals lazily from a [`event::StreamInjector`];
 //!   [`event::run`] is that loop over a queue pushed up front.
 //! - [`faults`]: seeded, deterministic fault-injection plans.
-//! - [`metrics`]: HDR-style latency histograms, quantiles and SLO accounting.
+//! - [`metrics`]: HDR-style latency histograms and quantiles.
 //! - [`rng`]: per-component deterministic RNG streams, with
 //!   [`rng::BatchedRng`] draw batching.
 //! - [`slab`]: free-list arena with generation-checked handles for
@@ -94,8 +94,8 @@ pub use event::{
     run, run_streamed, BinaryHeapQueue, EventQueue, RunSummary, StreamInjector, World,
 };
 pub use faults::{FaultPlan, NocDecision, NocFaultRng};
-pub use metrics::{LatencyHistogram, LatencySummary, SloTracker};
-pub use parallel::{default_threads, parallel_map, seeded_map};
+pub use metrics::{LatencyHistogram, LatencySummary};
+pub use parallel::{default_threads, parallel_map};
 pub use stats::{batch_means_ci, MeanCi};
 pub use telemetry::{NullSink, Telemetry, TelemetrySink};
 pub use time::{SimDuration, SimTime};

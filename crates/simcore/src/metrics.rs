@@ -1,4 +1,4 @@
-//! Latency metrics: a log-linear histogram (HDR-style) plus SLO accounting.
+//! Latency metrics: a log-linear histogram (HDR-style) and its summary.
 //!
 //! Tail-latency experiments need accurate high quantiles over millions of
 //! samples without storing them all. [`LatencyHistogram`] buckets values with
@@ -153,21 +153,6 @@ impl LatencyHistogram {
         self.max()
     }
 
-    /// Fraction of samples strictly greater than `threshold`.
-    pub fn fraction_above(&self, threshold: SimDuration) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let cutoff = Self::index_for(threshold.as_ps());
-        let mut above = 0u64;
-        for (idx, &c) in self.buckets.iter().enumerate() {
-            if idx > cutoff {
-                above += c;
-            }
-        }
-        above as f64 / self.count as f64
-    }
-
     /// Merges `other` into `self`.
     pub fn merge(&mut self, other: &LatencyHistogram) {
         if other.buckets.len() > self.buckets.len() {
@@ -235,78 +220,6 @@ impl fmt::Display for LatencySummary {
             "n={} mean={} p50={} p90={} p99={} p99.9={} max={}",
             self.count, self.mean, self.p50, self.p90, self.p99, self.p999, self.max
         )
-    }
-}
-
-/// Counts SLO violations against a fixed latency target.
-///
-/// # Examples
-///
-/// ```
-/// use simcore::metrics::SloTracker;
-/// use simcore::time::SimDuration;
-///
-/// let mut slo = SloTracker::new(SimDuration::from_us(10));
-/// slo.observe(SimDuration::from_us(5));
-/// slo.observe(SimDuration::from_us(15));
-/// assert_eq!(slo.violations(), 1);
-/// assert_eq!(slo.violation_ratio(), 0.5);
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct SloTracker {
-    target: SimDuration,
-    total: u64,
-    violations: u64,
-}
-
-impl SloTracker {
-    /// Creates a tracker for the given latency target.
-    pub fn new(target: SimDuration) -> Self {
-        SloTracker {
-            target,
-            total: 0,
-            violations: 0,
-        }
-    }
-
-    /// The latency target.
-    pub fn target(&self) -> SimDuration {
-        self.target
-    }
-
-    /// Records a completed request latency; returns `true` iff it violated
-    /// the SLO (strictly exceeded the target).
-    pub fn observe(&mut self, latency: SimDuration) -> bool {
-        self.total += 1;
-        let violated = latency > self.target;
-        if violated {
-            self.violations += 1;
-        }
-        violated
-    }
-
-    /// Would `latency` violate the SLO? (Does not record.)
-    pub fn would_violate(&self, latency: SimDuration) -> bool {
-        latency > self.target
-    }
-
-    /// Total observations.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Number of violations.
-    pub fn violations(&self) -> u64 {
-        self.violations
-    }
-
-    /// Violations / total, or 0 when empty.
-    pub fn violation_ratio(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.violations as f64 / self.total as f64
-        }
     }
 }
 
@@ -393,29 +306,6 @@ mod tests {
         assert!((p50 - 500.0).abs() / 500.0 < 0.02, "p50={p50}");
         assert_eq!(a.max(), SimDuration::from_ns(1000));
         assert_eq!(a.min(), SimDuration::from_ns(1));
-    }
-
-    #[test]
-    fn fraction_above_threshold() {
-        let mut h = LatencyHistogram::new();
-        for ns in 1..=100u64 {
-            h.record(SimDuration::from_us(ns));
-        }
-        let f = h.fraction_above(SimDuration::from_us(90));
-        assert!((f - 0.10).abs() < 0.03, "f={f}");
-        assert_eq!(h.fraction_above(SimDuration::from_us(1000)), 0.0);
-    }
-
-    #[test]
-    fn slo_tracker_counts() {
-        let mut t = SloTracker::new(SimDuration::from_us(1));
-        assert!(!t.observe(SimDuration::from_ns(999)));
-        assert!(!t.observe(SimDuration::from_us(1))); // equal is not a violation
-        assert!(t.observe(SimDuration::from_ns(1001)));
-        assert_eq!(t.total(), 3);
-        assert_eq!(t.violations(), 1);
-        assert!((t.violation_ratio() - 1.0 / 3.0).abs() < 1e-12);
-        assert!(t.would_violate(SimDuration::from_us(2)));
     }
 
     #[test]

@@ -4,21 +4,15 @@
 //! dozens of independent `(system, load)` simulations, each fully
 //! deterministic given its seed. This module fans such jobs out across OS
 //! threads while guaranteeing **bit-identical results regardless of thread
-//! count**:
-//!
-//! - Jobs are identified by their index in the input; results are reassembled
-//!   in index order, so scheduling races never reorder output.
-//! - [`seeded_map`] derives each job's RNG seed from a root seed and the job
-//!   index via [`crate::rng::derive_seed`], never from anything a thread
-//!   observes at runtime.
+//! count**: jobs are identified by their index in the input and results are
+//! reassembled in index order, so scheduling races never reorder output.
+//! Each job derives its seeds from its own parameters, never from anything
+//! a thread observes at runtime.
 //!
 //! The worker pool uses `std::thread::scope` — no extra dependencies, no
 //! `unsafe` — and pulls jobs from a shared list so long and short jobs
 //! balance across threads.
 
-use crate::rng::derive_seed;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::sync::Mutex;
 
 /// Number of worker threads to use by default: the `SWEEP_THREADS`
@@ -115,27 +109,9 @@ where
         .collect()
 }
 
-/// Like [`parallel_map`], but hands each job a private [`StdRng`] seeded by
-/// `derive_seed(root_seed, index)`.
-///
-/// Seeds depend only on the root seed and the job's position, so a sweep's
-/// random draws are identical whether it runs on 1 thread or 64.
-pub fn seeded_map<T, R, F>(root_seed: u64, items: Vec<T>, threads: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T, StdRng) -> R + Sync,
-{
-    parallel_map(items, threads, |idx, item| {
-        let rng = StdRng::seed_from_u64(derive_seed(root_seed, idx as u64));
-        f(idx, item, rng)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
 
     #[test]
     fn preserves_input_order() {
@@ -159,29 +135,6 @@ mod tests {
         assert_eq!(one, run(2));
         assert_eq!(one, run(3));
         assert_eq!(one, run(16));
-    }
-
-    #[test]
-    fn seeded_map_is_thread_count_invariant() {
-        let run = |threads| {
-            seeded_map(42, vec![(); 24], threads, |_, _, mut rng| {
-                (0..64)
-                    .map(|_| rng.random::<u64>())
-                    .fold(0u64, u64::wrapping_add)
-            })
-        };
-        let one = run(1);
-        assert_eq!(one, run(2));
-        assert_eq!(one, run(8));
-    }
-
-    #[test]
-    fn seeded_map_jobs_get_distinct_streams() {
-        let sums = seeded_map(7, vec![(); 8], 2, |_, _, mut rng| rng.random::<u64>());
-        let mut uniq = sums.clone();
-        uniq.sort_unstable();
-        uniq.dedup();
-        assert_eq!(uniq.len(), sums.len(), "per-job streams must differ");
     }
 
     #[test]

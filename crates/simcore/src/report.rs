@@ -106,18 +106,8 @@ impl Table {
     /// cells containing a comma, quote or newline wrapped in double quotes
     /// (embedded quotes doubled). Ends with a trailing newline.
     pub fn to_csv(&self) -> String {
-        self.delimited(',')
-    }
-
-    /// Renders as TSV. Cells containing a tab or newline are quoted as in
-    /// [`to_csv`](Self::to_csv). Ends with a trailing newline.
-    pub fn to_tsv(&self) -> String {
-        self.delimited('\t')
-    }
-
-    fn delimited(&self, sep: char) -> String {
         let quote_cell = |cell: &str, out: &mut String| {
-            if cell.contains(sep) || cell.contains('"') || cell.contains('\n') {
+            if cell.contains(',') || cell.contains('"') || cell.contains('\n') {
                 out.push('"');
                 for c in cell.chars() {
                     if c == '"' {
@@ -134,7 +124,7 @@ impl Table {
         let emit = |cells: &[String], out: &mut String| {
             for (i, cell) in cells.iter().enumerate() {
                 if i > 0 {
-                    out.push(sep);
+                    out.push(',');
                 }
                 quote_cell(cell, out);
             }
@@ -146,11 +136,6 @@ impl Table {
         }
         out
     }
-}
-
-/// Formats a float with 3 significant decimals, trimming noise.
-pub fn f3(x: f64) -> String {
-    format!("{x:.3}")
 }
 
 /// Formats a ratio as a percentage with 2 decimals.
@@ -187,12 +172,11 @@ mod tests {
 
     #[test]
     fn helpers_format() {
-        assert_eq!(f3(1.23456), "1.235");
         assert_eq!(pct(0.123), "12.30%");
     }
 
     #[test]
-    fn csv_and_tsv_render() {
+    fn csv_render() {
         let mut t = Table::new(&["name", "value"]);
         t.row(&["plain", "1"]);
         t.row(&["needs,quote", "say \"hi\""]);
@@ -200,11 +184,6 @@ mod tests {
         assert_eq!(
             csv,
             "name,value\nplain,1\n\"needs,quote\",\"say \"\"hi\"\"\"\n"
-        );
-        let tsv = t.to_tsv();
-        assert_eq!(
-            tsv,
-            "name\tvalue\nplain\t1\nneeds,quote\t\"say \"\"hi\"\"\"\n"
         );
     }
 

@@ -102,11 +102,6 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked subtraction: `None` if `earlier > self`.
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
 }
 
 impl SimDuration {
@@ -152,11 +147,6 @@ impl SimDuration {
         // every `ps >= 2^53` is already an integer (`t == ps`, no carry).
         let t = ps as u64;
         SimDuration(t + (ps - t as f64 >= 0.5) as u64)
-    }
-
-    /// Creates a span from fractional microseconds (see [`Self::from_ns_f64`]).
-    pub fn from_us_f64(us: f64) -> Self {
-        Self::from_ns_f64(us * 1e3)
     }
 
     /// Creates a span of `cycles` CPU cycles at `ghz` GHz.
@@ -453,7 +443,6 @@ mod tests {
             SimTime::from_ns(1).saturating_since(SimTime::from_ns(5)),
             SimDuration::ZERO
         );
-        assert_eq!(SimTime::from_ns(1).checked_since(SimTime::from_ns(5)), None);
         assert_eq!(
             SimDuration::from_ns(1).saturating_sub(SimDuration::from_ns(5)),
             SimDuration::ZERO

@@ -165,11 +165,6 @@ impl MmppProcess {
         MmppProcess::new(vec![mk(1.0, 50), mk(1.8, 20), mk(0.5, 30)])
     }
 
-    /// Index of the current state (for tests/telemetry).
-    pub fn current_state(&self) -> usize {
-        self.current
-    }
-
     fn advance_state<R: Rng + ?Sized>(&mut self, rng: &mut R) {
         let n = self.states.len();
         if n > 1 {
@@ -293,7 +288,7 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for _ in 0..50_000 {
             p.next_gap(&mut rng);
-            seen.insert(p.current_state());
+            seen.insert(p.current);
         }
         assert_eq!(seen.len(), 3, "all MMPP states should be visited");
     }
