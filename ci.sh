@@ -48,7 +48,7 @@ while read -r name bin args <&3; do
   got=$(sha256sum < "target/$name.txt" | awk '{print $1}')
   want=$(cat "ci/golden/$name.sha256")
   if [ "$got" != "$want" ]; then
-    echo "GOLDEN MISMATCH: $bin $args stdout digest $got != pinned $want" >&2
+    echo "GOLDEN MISMATCH: $bin${args:+ $args} stdout digest $got != pinned $want" >&2
     echo "(see target/$name.txt; regenerate via scripts/regen_golden.sh if intentional)" >&2
     # Turn "the digest changed" into "which event changed": replay the
     # golden run trace for this figure (if one exists) so the first
